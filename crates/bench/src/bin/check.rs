@@ -308,7 +308,7 @@ fn obs_main(raw: &[String]) -> ExitCode {
     //    *same* identity view, so the slot swap is a genuine S₂
     //    symmetry for any m) under full reduction, on a fresh probe:
     //    orbit-dedup hits and canonicalization time are keyed per
-    //    engine worker (key 0 = the sequential engine).
+    //    explorer worker (key 0 = the calling thread's worker).
     let sym_probe = MemProbe::new();
     let sym_sim = Simulation::builder()
         .process(AnonMutex::new(pid(1), m).unwrap(), View::identity(m))
@@ -1027,10 +1027,9 @@ fn stress_main(raw: &[String]) -> ExitCode {
 /// (`--flamegraph`, speedscope/inferno format) and bench JSONL
 /// (`--json`), and enforces that the explorer runs' self-times account
 /// for the measured wall-clock (`--min-coverage`, default 0.7, applied
-/// to runs long enough for setup cost to be noise — the wall includes
-/// final graph assembly, which is not worker self-time, so full-scale
-/// symmetry-off runs land around 0.75–0.86 and full-symmetry runs
-/// around 0.91).
+/// to runs of at least 20 ms). Every worker's tree spans the explorer's
+/// whole run, set-up and graph assembly included (`setup`), so only the
+/// simulation build and the explorer's configuration fall outside it.
 fn profile_main(raw: &[String]) -> ExitCode {
     use anonreg_bench::{benchjson, e18_profile};
     use anonreg_obs::schema::meta_line;
@@ -1128,8 +1127,8 @@ fn profile_main(raw: &[String]) -> ExitCode {
         println!("metrics written to {path} (validate with `check obs validate {path}`)");
     }
 
-    // Coverage gate: on runs too short, thread spawn/graph assembly
-    // dominate and coverage is meaningless, so only gate explorer runs
+    // Coverage gate: on runs of a few milliseconds the untimed simulation
+    // build and scheduler noise dominate, so only gate explorer runs
     // whose wall-clock clears a floor.
     let mut bad = false;
     for run in &runs[..explorer_runs] {

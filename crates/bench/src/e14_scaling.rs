@@ -4,10 +4,10 @@
 //! Every verdict in this reproduction rests on exhaustively enumerating
 //! reachable configurations, and anonymous-register spaces explode with
 //! `n` and the register count. This experiment measures how far the
-//! breadth-parallel [`Explorer`] engine (sharded dedup table, per-worker
-//! work-stealing deques, interned states) pushes that wall: the same
+//! [`Explorer`]'s workers (lock-free dedup table, per-worker
+//! work-stealing deques, interned states) push that wall: the same
 //! Figure 2 consensus space is explored at increasing thread counts and
-//! each run must reproduce the sequential run's exact state and edge
+//! each run must reproduce the one-worker run's exact state and edge
 //! counts — a speedup only counts if the graph is identical.
 //!
 //! The default full-scale workload is `n = 3` with 2 registers
@@ -37,7 +37,7 @@ pub struct Row {
     pub n: usize,
     /// Number of anonymous registers.
     pub registers: usize,
-    /// Explorer worker threads (`1` = the sequential engine).
+    /// Explorer worker threads (`1` = one worker, on the calling thread).
     pub threads: usize,
     /// Distinct reachable states.
     pub states: usize,
@@ -119,7 +119,7 @@ pub fn timed_explore_with(
 }
 
 /// The scaling sweep: the workload explored once per entry of
-/// `thread_counts` (the first entry should be `1`, the sequential
+/// `thread_counts` (the first entry should be `1`, the one-worker
 /// baseline).
 ///
 /// # Errors

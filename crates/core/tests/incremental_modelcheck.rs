@@ -3,8 +3,10 @@
 //!
 //! Every family is checked twice through [`run_cached`] — once cold
 //! (explore + certify) and once warm (streaming certificate replay) —
-//! and the cached verdicts are compared against a direct
-//! [`Explorer::run`] of the same configuration. Replay never searches:
+//! and the cached counts and verdicts are compared against a direct
+//! [`Explorer::run`] of the same configuration, whose graph must in turn
+//! be the independent reference explorer's (`common/reference.rs`).
+//! Replay never searches:
 //! it re-validates the stored reachable set by membership and closure
 //! checking, so a divergence here would mean the certificate format or
 //! the structural keying is unsound.
@@ -16,6 +18,8 @@
 //! binary (`cache_escape_hatch.rs`) because the variable is
 //! process-global.
 
+mod common;
+
 use std::hash::Hash;
 
 use anonreg::baseline::Peterson;
@@ -25,9 +29,11 @@ use anonreg::hybrid::{named_view, HybridMutex};
 use anonreg::mutex::{AnonMutex, Section};
 use anonreg::ordered::OrderedMutex;
 use anonreg::renaming::AnonRenaming;
-use anonreg::{Machine, Pid, View};
+use anonreg::{Machine, Pid, PidMap, View};
 use anonreg_sim::prelude::*;
 use anonreg_sim::Simulation;
+
+use common::reference;
 
 fn pid(n: u64) -> Pid {
     Pid::new(n).unwrap()
@@ -50,7 +56,8 @@ fn check_cached<M>(
     build: impl Fn() -> Simulation<M>,
     violation: impl Fn(&Simulation<M>) -> bool + Copy + 'static,
 ) where
-    M: Machine + Eq + Hash,
+    M: Machine + Eq + Hash + PidMap,
+    M::Value: PidMap,
 {
     let make = || {
         Explorer::new(build()).verdict("safety", move |g: &StateGraph<M>| {
@@ -72,6 +79,11 @@ fn check_cached<M>(
     );
 
     let graph = Explorer::new(build()).run().unwrap();
+    reference::assert_matches(
+        family,
+        &graph,
+        &reference::explore(&build(), false, false, SymmetryMode::Off),
+    );
     assert_eq!(
         (cold.states, cold.edges),
         (graph.state_count() as u64, graph.edge_count() as u64),

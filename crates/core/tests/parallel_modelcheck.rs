@@ -1,16 +1,17 @@
-//! Cross-family regression: the breadth-parallel explorer must produce a
-//! graph isomorphic to the deterministic sequential engine on every
-//! algorithm family of the reproduction.
+//! Cross-family regression: the explorer must produce the reference
+//! graph on every algorithm family of the reproduction, at one worker and
+//! at several.
 //!
-//! State ids are engine-specific (the parallel engine numbers states in
-//! race order), so equality is checked up to the bijection induced by
-//! state fingerprints: identical state counts, a one-to-one configuration
-//! match, and identical per-state edge multisets under that bijection.
-//! The fairness analyses must then agree verdict-for-verdict regardless
-//! of the numbering.
+//! The reference is an independent breadth-first explorer over the
+//! public `Simulation` API (`common/reference.rs`). State ids are
+//! run-specific (several workers number states in race order), so
+//! equality is checked up to the bijection induced by canonical codes:
+//! identical state counts, a one-to-one state match, and identical
+//! per-state edge multisets under that bijection. The fairness analyses
+//! must then agree verdict-for-verdict regardless of the numbering.
 
-use std::collections::HashMap;
-use std::fmt::Debug;
+mod common;
+
 use std::hash::Hash;
 
 use anonreg::baseline::Peterson;
@@ -20,101 +21,31 @@ use anonreg::hybrid::{named_view, HybridMutex};
 use anonreg::mutex::{AnonMutex, MutexEvent, Section};
 use anonreg::ordered::OrderedMutex;
 use anonreg::renaming::AnonRenaming;
-use anonreg::{Machine, Pid, View};
+use anonreg::{Machine, Pid, PidMap, View};
 use anonreg_sim::prelude::*;
+
+use common::reference;
 
 fn pid(n: u64) -> Pid {
     Pid::new(n).unwrap()
 }
 
-/// Asserts `a` and `b` are the same graph up to state renumbering.
-fn assert_isomorphic<M>(family: &str, threads: usize, a: &StateGraph<M>, b: &StateGraph<M>)
-where
-    M: Machine + Eq + Hash,
-    M::Event: Debug,
-{
-    assert_eq!(
-        a.state_count(),
-        b.state_count(),
-        "{family} at {threads} threads: state counts differ"
-    );
-    assert_eq!(
-        a.edge_count(),
-        b.edge_count(),
-        "{family} at {threads} threads: edge counts differ"
-    );
-
-    // Match each of a's states to a distinct configuration-equal state
-    // of b (fingerprints narrow the candidates; equality decides).
-    let mut by_fp: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (id, state) in b.states() {
-        by_fp.entry(state.fingerprint()).or_default().push(id);
-    }
-    let mut a_to_b = vec![usize::MAX; a.state_count()];
-    let mut used = vec![false; b.state_count()];
-    for (id, state) in a.states() {
-        let candidates = by_fp
-            .get(&state.fingerprint())
-            .map_or(&[][..], Vec::as_slice);
-        let matched = candidates
-            .iter()
-            .copied()
-            .find(|&bid| !used[bid] && state.same_configuration(b.state(bid)));
-        let Some(bid) = matched else {
-            panic!("{family} at {threads} threads: state {id} has no counterpart");
-        };
-        used[bid] = true;
-        a_to_b[id] = bid;
-    }
-    assert_eq!(
-        a_to_b[0], 0,
-        "{family} at {threads} threads: initial states differ"
-    );
-
-    // Per-state edge multisets must agree under the bijection.
-    for (id, _) in a.states() {
-        let to_key = |map: &dyn Fn(usize) -> usize, e: &Edge<M::Event>| {
-            (e.proc, map(e.target), e.crash, format!("{:?}", e.events))
-        };
-        let mut ea: Vec<_> = a
-            .edges(id)
-            .iter()
-            .map(|e| to_key(&|t| a_to_b[t], e))
-            .collect();
-        let mut eb: Vec<_> = b
-            .edges(a_to_b[id])
-            .iter()
-            .map(|e| to_key(&|t| t, e))
-            .collect();
-        ea.sort();
-        eb.sort();
-        assert_eq!(
-            ea, eb,
-            "{family} at {threads} threads: edges differ at state {id}"
-        );
-    }
-}
-
-/// Explores `build()` sequentially and at 2 and 4 threads, asserting
-/// isomorphism each time.
+/// Explores `build()` at 1, 2 and 4 workers, asserting each graph is the
+/// reference graph.
 fn check_family<M>(family: &str, crashes: bool, build: impl Fn() -> Simulation<M>)
 where
-    M: Machine + Eq + Hash,
-    M::Event: Debug,
+    M: Machine + Eq + Hash + PidMap,
+    M::Value: PidMap,
 {
-    let seq = Explorer::new(build())
-        .max_states(500_000)
-        .crashes(crashes)
-        .run()
-        .unwrap();
-    for threads in [2, 4] {
-        let par = Explorer::new(build())
+    let expected = reference::explore(&build(), crashes, false, SymmetryMode::Off);
+    for threads in [1, 2, 4] {
+        let graph = Explorer::new(build())
             .max_states(500_000)
             .crashes(crashes)
             .parallelism(threads)
             .run()
             .unwrap();
-        assert_isomorphic(family, threads, &seq, &par);
+        reference::assert_matches(&format!("{family} at {threads} workers"), &graph, &expected);
     }
 }
 
@@ -220,7 +151,7 @@ fn peterson_baseline_graphs_are_isomorphic() {
 }
 
 /// The fairness analyses walk SCCs in canonical order, so their verdicts
-/// must not depend on which engine numbered the states.
+/// must not depend on how a run numbered the states.
 #[test]
 fn fairness_verdicts_are_numbering_independent() {
     for m in [3usize, 4] {
@@ -252,5 +183,65 @@ fn fairness_verdicts_are_numbering_independent() {
         // Canonical SCC lists are fully deterministic per graph.
         assert_eq!(seq.nontrivial_sccs(), seq.nontrivial_sccs());
         assert_eq!(par.nontrivial_sccs(), par.nontrivial_sccs());
+    }
+}
+
+/// `max_states` is a budget, not a reservation: a 104-state instance
+/// under a 10⁸ cap allocates a few tens of KiB for its dedup table,
+/// code arena and state store, at one worker and at four, in graph and
+/// in stats mode.
+#[test]
+fn explorer_memory_follows_the_states_not_the_cap() {
+    use anonreg_obs::{MemProbe, Metric};
+
+    let build = || {
+        Simulation::builder()
+            .process(
+                AnonConsensus::new(pid(1), 2, 1).unwrap().with_registers(1),
+                View::identity(1),
+            )
+            .process(
+                AnonConsensus::new(pid(2), 2, 2).unwrap().with_registers(1),
+                View::identity(1),
+            )
+            .build()
+            .unwrap()
+    };
+    for threads in [1, 4] {
+        let probe = MemProbe::new();
+        let graph = Explorer::new(build())
+            .max_states(100_000_000)
+            .parallelism(threads)
+            .probe(&probe)
+            .run()
+            .unwrap();
+        assert_eq!(graph.state_count(), 104);
+        let reserved = probe
+            .snapshot()
+            .gauge_stat(Metric::ExploreReservedBytes)
+            .expect("the explorer reports its reservation")
+            .last;
+        assert!(
+            reserved < 1 << 20,
+            "{threads} workers reserved {reserved} bytes for 104 states"
+        );
+
+        let probe = MemProbe::new();
+        let stats = Explorer::new(build())
+            .max_states(100_000_000)
+            .parallelism(threads)
+            .probe(&probe)
+            .run_stats()
+            .unwrap();
+        assert_eq!(stats.states, 104);
+        let reserved = probe
+            .snapshot()
+            .gauge_stat(Metric::ExploreReservedBytes)
+            .unwrap()
+            .last;
+        assert!(
+            reserved < 1 << 20,
+            "stats mode, {threads} workers: {reserved} bytes"
+        );
     }
 }

@@ -6,12 +6,13 @@
 //! milestone events are announced *by* them, so restricting expansion to
 //! the local steps preserves every reachability and fairness verdict the
 //! reproduction checks. This suite holds the reduction to that promise on
-//! every algorithm family, against both engines:
+//! every algorithm family, at one worker and at several:
 //!
 //! * the reduced graph never has more states or edges than the full one;
 //! * the family's safety verdict is bit-identical with POR on and off;
-//! * the sequential and parallel engines agree on the reduced graph
-//!   exactly (isomorphism up to state renumbering);
+//! * every worker count produces exactly the reduced graph of the
+//!   independent reference explorer (`common/reference.rs`, with its own
+//!   ample-set rule), up to state renumbering;
 //! * `run_stats` counts exactly what `run` materialises under POR;
 //! * POR composed with `SymmetryMode::Registers` — sound because
 //!   register renaming never touches process slots, so ample sets are
@@ -21,7 +22,8 @@
 //! * the mutex fairness verdicts (fair livelock, per-victim starvation)
 //!   are identical with POR on and off.
 
-use std::collections::HashMap;
+mod common;
+
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -35,70 +37,13 @@ use anonreg::renaming::AnonRenaming;
 use anonreg::{Machine, Pid, PidMap, View};
 use anonreg_sim::prelude::*;
 
+use common::reference;
+
 fn pid(n: u64) -> Pid {
     Pid::new(n).unwrap()
 }
 
-/// Asserts `a` and `b` are the same graph up to state renumbering.
-fn assert_isomorphic<M>(family: &str, threads: usize, a: &StateGraph<M>, b: &StateGraph<M>)
-where
-    M: Machine + Eq + Hash,
-    M::Event: Debug,
-{
-    assert_eq!(
-        a.state_count(),
-        b.state_count(),
-        "{family} at {threads} threads: state counts differ"
-    );
-    assert_eq!(
-        a.edge_count(),
-        b.edge_count(),
-        "{family} at {threads} threads: edge counts differ"
-    );
-    let mut by_fp: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (id, state) in b.states() {
-        by_fp.entry(state.fingerprint()).or_default().push(id);
-    }
-    let mut a_to_b = vec![usize::MAX; a.state_count()];
-    let mut used = vec![false; b.state_count()];
-    for (id, state) in a.states() {
-        let candidates = by_fp
-            .get(&state.fingerprint())
-            .map_or(&[][..], Vec::as_slice);
-        let matched = candidates
-            .iter()
-            .copied()
-            .find(|&bid| !used[bid] && state.same_configuration(b.state(bid)));
-        let Some(bid) = matched else {
-            panic!("{family} at {threads} threads: state {id} has no counterpart");
-        };
-        used[bid] = true;
-        a_to_b[id] = bid;
-    }
-    for (id, _) in a.states() {
-        let to_key = |map: &dyn Fn(usize) -> usize, e: &Edge<M::Event>| {
-            (e.proc, map(e.target), e.crash, format!("{:?}", e.events))
-        };
-        let mut ea: Vec<_> = a
-            .edges(id)
-            .iter()
-            .map(|e| to_key(&|t| a_to_b[t], e))
-            .collect();
-        let mut eb: Vec<_> = b
-            .edges(a_to_b[id])
-            .iter()
-            .map(|e| to_key(&|t| t, e))
-            .collect();
-        ea.sort();
-        eb.sort();
-        assert_eq!(
-            ea, eb,
-            "{family} at {threads} threads: edges differ at state {id}"
-        );
-    }
-}
-
-/// Runs the family with POR off and on, across both engines, and asserts
+/// Runs the family with POR off and on, at several worker counts, and asserts
 /// the contract described in the module docs. `violated` is the family's
 /// safety predicate; its verdict must not move under the reduction.
 fn check_por_parity<M>(
@@ -130,6 +75,8 @@ fn check_por_parity<M>(
         "{family}: safety verdict moved under POR"
     );
 
+    let expected = reference::explore(&build(), false, true, SymmetryMode::Off);
+    reference::assert_matches(&format!("{family} at 1 worker"), &reduced, &expected);
     for threads in [2, 4] {
         let parallel = Explorer::new(build())
             .max_states(500_000)
@@ -137,7 +84,11 @@ fn check_por_parity<M>(
             .parallelism(threads)
             .run()
             .unwrap();
-        assert_isomorphic(family, threads, &reduced, &parallel);
+        reference::assert_matches(
+            &format!("{family} at {threads} workers"),
+            &parallel,
+            &expected,
+        );
     }
 
     for threads in [1, 2] {
@@ -168,6 +119,11 @@ fn check_por_parity<M>(
         .symmetry(SymmetryMode::Registers)
         .run()
         .unwrap();
+    reference::assert_matches(
+        &format!("{family} composed"),
+        &composed,
+        &reference::explore(&build(), false, true, SymmetryMode::Registers),
+    );
     assert!(
         composed.state_count() <= reduced.state_count(),
         "{family}: POR × Registers grew the state space"
@@ -389,7 +345,7 @@ fn mutex_fairness_verdicts_survive_por() {
         assert_eq!(
             reduced.find_fair_livelock(entry, enter).is_some(),
             reduced_par.find_fair_livelock(entry, enter).is_some(),
-            "livelock verdict differs between engines at m = {m}"
+            "livelock verdict differs between worker counts at m = {m}"
         );
         for victim in 0..2 {
             assert_eq!(
@@ -402,7 +358,7 @@ fn mutex_fairness_verdicts_survive_por() {
                 reduced_par
                     .find_fair_starvation(victim, entry, enter)
                     .is_some(),
-                "starvation verdict differs between engines for p{victim} at m = {m}"
+                "starvation verdict differs between worker counts for p{victim} at m = {m}"
             );
         }
     }

@@ -8,10 +8,14 @@
 //! bit-identical across the three modes. Only the *state counts* may
 //! shrink.
 //!
-//! The parallel engine must agree with the sequential one under symmetry
-//! too. Which concrete orbit representative gets stored is racy there, so
-//! the cross-engine comparison uses state/edge counts plus verdicts, not
-//! graph isomorphism.
+//! Every mode's graph, at one worker and at four, must also be the
+//! quotient graph the independent reference explorer
+//! (`common/reference.rs`) computes: the same orbit set and, except under
+//! `full` (which renumbers process slots), the same per-orbit edges.
+//! Which concrete orbit representative gets stored is racy at four
+//! workers, so the comparison is by canonical code, not by state.
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -28,6 +32,8 @@ use anonreg::{Machine, Pid, PidMap, View};
 use anonreg_sim::obstruction::check_obstruction_freedom;
 use anonreg_sim::prelude::*;
 use anonreg_sim::symmetry::ring_views;
+
+use common::reference;
 
 fn pid(n: u64) -> Pid {
     Pid::new(n).unwrap()
@@ -66,8 +72,9 @@ where
         .unwrap()
 }
 
-/// Runs one family through all three modes (sequentially and at 4
-/// threads) and asserts the verdicts never move.
+/// Runs one family through all three modes (at 1 and at 4 workers),
+/// asserts each graph is the reference quotient graph and that the
+/// verdicts never move.
 fn check_family<M>(
     family: &str,
     build: impl Fn() -> Simulation<M>,
@@ -79,7 +86,9 @@ fn check_family<M>(
     let baseline_graph = explore(&build, SymmetryMode::Off, 1);
     let baseline = verdicts(&baseline_graph);
     for mode in MODES {
+        let expected = reference::explore(&build(), false, false, mode);
         let seq = explore(&build, mode, 1);
+        reference::assert_matches(&format!("{family} {mode} at 1 worker"), &seq, &expected);
         assert!(
             seq.state_count() <= baseline_graph.state_count(),
             "{family}: {mode} stored more states than off"
@@ -87,18 +96,14 @@ fn check_family<M>(
         assert_eq!(
             verdicts(&seq),
             baseline,
-            "{family}: sequential verdicts diverged under {mode}"
+            "{family}: one-worker verdicts diverged under {mode}"
         );
         let par = explore(&build, mode, 4);
-        assert_eq!(
-            (par.state_count(), par.edge_count()),
-            (seq.state_count(), seq.edge_count()),
-            "{family}: parallel counts diverged under {mode}"
-        );
+        reference::assert_matches(&format!("{family} {mode} at 4 workers"), &par, &expected);
         assert_eq!(
             verdicts(&par),
             baseline,
-            "{family}: parallel verdicts diverged under {mode}"
+            "{family}: four-worker verdicts diverged under {mode}"
         );
     }
 }
@@ -327,7 +332,7 @@ fn full_mode_reduces_symmetric_mutex_at_least_2x() {
         mutex_verdicts(&off, AnonMutex::section),
         mutex_verdicts(&full, AnonMutex::section)
     );
-    // The parallel engine lands on the same orbit set.
+    // Four workers land on the same orbit set.
     let par = explore(&build, SymmetryMode::Full, 4);
     assert_eq!(par.state_count(), full.state_count());
     assert_eq!(par.edge_count(), full.edge_count());
@@ -408,10 +413,11 @@ fn registers_mode_skips_pid_pinned_orbits() {
     // Pinned: the fast path must not change what `registers` stores.
     assert_eq!(regs.state_count(), off.state_count());
     assert_eq!(regs.edge_count(), off.edge_count());
-    // Every encode after the initial state's took the fast path: one
-    // per explored edge plus the initial encode.
+    // Every worker encode took the fast path: one per explored edge.
+    // (The initial state is encoded during set-up, outside every
+    // worker's tally.)
     let skipped = snap.counter_total(Metric::CanonSkipped);
-    assert_eq!(skipped, off.edge_count() as u64 + 1);
+    assert_eq!(skipped, off.edge_count() as u64);
     // ...and the canonical path never ran.
     assert_eq!(snap.counter_total(Metric::SymmetryHits), 0);
     assert_eq!(snap.counter_total(Metric::CanonTime), 0);

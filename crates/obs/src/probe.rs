@@ -60,8 +60,7 @@ pub enum Metric {
     FaultRecovered,
     /// Symmetry-reduction hits: states whose canonicalization chose a
     /// non-identity orbit representative — i.e. states the reduction
-    /// actually moved. Keyed by engine (0 sequential, worker index
-    /// parallel).
+    /// actually moved. Keyed by explorer worker index.
     SymmetryHits,
     /// Total nanoseconds spent canonicalizing states, same keying as
     /// [`Metric::SymmetryHits`]. Only emitted when a symmetry mode is
@@ -99,9 +98,10 @@ pub enum Metric {
     /// Successor transitions the ample-set reduction pruned, same keying
     /// as [`Metric::PorAmple`].
     PorPruned,
-    /// Definite bloom-filter misses during dedup: probes the pre-screen
-    /// proved fresh without consulting the exact table. Keyed like
-    /// [`Metric::SymmetryHits`].
+    /// Definite bloom-filter misses during dedup. The explorer no longer
+    /// has a bloom pre-screen, so nothing emits this metric; the name is
+    /// kept because the benchmark still reads `explore.bloom_neg_ratio`
+    /// from it (always 0 now).
     BloomNeg,
     /// Canonical code bytes written to the on-disk spill tier.
     SpillBytes,
@@ -119,6 +119,11 @@ pub enum Metric {
     /// re-validating the recorded graph, same keying as
     /// [`Metric::CacheHit`].
     CacheReplayTime,
+    /// Gauge: bytes an exploration had allocated for its dedup table,
+    /// canonical-code arena (or spill locations) and graph-mode state
+    /// store when its workers finished. These grow with the states
+    /// found, not with the `max_states` budget. Key 0.
+    ExploreReservedBytes,
 }
 
 impl Metric {
@@ -157,6 +162,7 @@ impl Metric {
             Metric::DedupUnverified => "dedup_unverified",
             Metric::CacheHit => "cache_hit",
             Metric::CacheReplayTime => "cache_replay_time",
+            Metric::ExploreReservedBytes => "explore_reserved_bytes",
         }
     }
 }
@@ -671,6 +677,10 @@ mod tests {
         assert_eq!(Metric::DedupUnverified.name(), "dedup_unverified");
         assert_eq!(Metric::CacheHit.name(), "cache_hit");
         assert_eq!(Metric::CacheReplayTime.name(), "cache_replay_time");
+        assert_eq!(
+            Metric::ExploreReservedBytes.name(),
+            "explore_reserved_bytes"
+        );
         assert_eq!(Span::SoloWindow.name(), "solo_window");
         assert_eq!(Span::CoverBlock.name(), "cover_block");
         assert_eq!(Span::ExploreWorker.name(), "explore_worker");

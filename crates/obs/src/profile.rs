@@ -17,7 +17,7 @@
 //!   speedscope both ingest directly.
 //!
 //! The phase vocabulary is a closed enum, mirroring [`crate::Metric`]:
-//! the engines charge `step`/`canon`/`dedup`/`steal`/`idle`, the
+//! the explorer charges `setup`/`step`/`canon`/`dedup`/`spill`/`steal`/`idle`, the
 //! runtime driver charges `doorway`/`waiting`/`critical`.
 
 use std::collections::BTreeMap;
@@ -32,15 +32,16 @@ use crate::schema::STREAM_SCHEMA_VERSION;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Phase {
-    /// Cloning a state and stepping the machine (both engines).
+    /// Cloning a state and stepping the machine.
     Step,
     /// Canonical orbit encoding of a reached state.
     Canon,
-    /// Dedup lookup/insert against the intern table or shards.
+    /// Dedup lookup/insert against the fingerprint table, including
+    /// its growth migrations.
     Dedup,
-    /// Stealing work from another worker's frontier (parallel engine).
+    /// Popping work, from the worker's own frontier or another's.
     Steal,
-    /// Spinning/yielding with nothing to do (parallel engine).
+    /// Spinning/yielding with nothing to do.
     Idle,
     /// A runtime process executing its entry or exit protocol.
     Doorway,
@@ -51,15 +52,19 @@ pub enum Phase {
     Critical,
     /// Dedup lookup/insert against the spill-backed code store — the
     /// lock-free table probe plus the LRU/disk verification tier. The
-    /// parallel engine charges interns here instead of
+    /// explorer charges interns here instead of
     /// [`Phase::Dedup`] when spilling is on, so profiles separate table
     /// time from IO.
     Spill,
+    /// Explorer set-up and graph assembly on the calling thread:
+    /// building the dedup table, spawning and joining the workers, and
+    /// stitching the expanded states into the finished graph.
+    Setup,
 }
 
 /// All phases, in wire order. `Phase::from_code` relies on this; new
 /// phases append so existing packed codes stay stable.
-const PHASES: [Phase; 9] = [
+const PHASES: [Phase; 10] = [
     Phase::Step,
     Phase::Canon,
     Phase::Dedup,
@@ -69,6 +74,7 @@ const PHASES: [Phase; 9] = [
     Phase::Waiting,
     Phase::Critical,
     Phase::Spill,
+    Phase::Setup,
 ];
 
 impl Phase {
@@ -85,6 +91,7 @@ impl Phase {
             Phase::Waiting => "waiting",
             Phase::Critical => "critical",
             Phase::Spill => "spill",
+            Phase::Setup => "setup",
         }
     }
 
@@ -124,8 +131,8 @@ fn decode_path(mut key: u64) -> Vec<Phase> {
 /// [`Profiler`] at worker exit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkerProfile {
-    /// The worker index (0 for single-threaded runs / the sequential
-    /// engine; the runtime uses process slots).
+    /// The worker index (0 for single-threaded runs and for the
+    /// explorer's calling-thread worker; the runtime uses process slots).
     pub worker: u64,
     /// `(stack, self_ns)` pairs, one per distinct phase stack, sorted
     /// by stack path. The stack string is `;`-joined phase names
@@ -200,7 +207,7 @@ impl PhaseTimer {
     }
 
     /// Replaces the top of stack (or pushes onto an empty stack): the
-    /// cheap flat-phase transition both engines use.
+    /// cheap flat-phase transition the explorer workers use.
     pub fn switch(&mut self, phase: Phase) {
         if self.stack.last() == Some(&phase) {
             return;
@@ -359,6 +366,7 @@ mod tests {
         assert_eq!(Phase::Waiting.name(), "waiting");
         assert_eq!(Phase::Critical.name(), "critical");
         assert_eq!(Phase::Spill.name(), "spill");
+        assert_eq!(Phase::Setup.name(), "setup");
     }
 
     #[test]

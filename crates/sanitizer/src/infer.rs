@@ -310,8 +310,8 @@ pub fn runtime_site_notes() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Structural certificates for the parallel explorer's lock-free dedup
-/// substrate (`anonreg-sim`'s `explore/dedup.rs` and `explore/par.rs`).
+/// Structural certificates for the explorer's lock-free dedup substrate
+/// (`anonreg-sim`'s `explore/dedup.rs` and `explore/par.rs`).
 /// Like [`runtime_site_notes`] these are architectural arguments, not
 /// family sweeps: each justifies why an ordering weaker than `SeqCst` is
 /// already minimal at its site. The code sites cite these IDs.
@@ -340,15 +340,8 @@ pub fn explorer_site_notes() -> Vec<(&'static str, &'static str)> {
              spinning reader can only wait on live progress or observe the abort flag",
         ),
         (
-            "ORD-DEDUP-BLOOM-004",
-            "Bloom filter words (Relaxed fetch_or / load): bits are set before the claim \
-             CAS, so a single-threaded probe sequence is never-false-negative; under \
-             concurrency a query may race a sibling's insert, so the parallel engine \
-             treats a miss as a statistic and never skips slot verification on it",
-        ),
-        (
             "ORD-EXP-PENDING-005",
-            "parallel explorer pending counter (Relaxed fetch_add/fetch_sub/load): on this \
+            "explorer pending counter (Relaxed fetch_add/fetch_sub/load): on this \
              single atomic, every child's increment precedes its parent's decrement in the \
              incrementing thread's program order, so coherence of the counter's \
              modification order alone guarantees an observed zero means the frontier is \
@@ -364,10 +357,20 @@ pub fn explorer_site_notes() -> Vec<(&'static str, &'static str)> {
         ),
         (
             "ORD-EXP-ABORT-007",
-            "parallel explorer abort flag (Relaxed store/load): advisory teardown signal \
+            "explorer abort flag (Relaxed store/load): advisory teardown signal \
              only — no data is published through it, the authoritative error is decided \
-             on the main thread after the worker joins, and finite-time visibility \
+             on the calling thread after the worker joins, and finite-time visibility \
              bounds the overshoot to a handful of extra expansions",
+        ),
+        (
+            "ORD-DEDUP-GROW-008",
+            "FpTable growth trigger (Relaxed load of the id counter before a claim): it \
+             only decides when a claimant asks for a migration, and a stale value lets \
+             each worker overshoot the half-load threshold by at most one claim, which \
+             the free half of the table absorbs; the migration itself runs under the \
+             table's RwLock write guard, whose release/acquire pairing with every \
+             reader's shared guard orders every published (fp, meta) pair before the \
+             copy and the copy before any later probe",
         ),
     ]
 }
@@ -736,10 +739,10 @@ mod tests {
             "ORD-DEDUP-CLAIM-001",
             "ORD-DEDUP-META-002",
             "ORD-DEDUP-SPIN-003",
-            "ORD-DEDUP-BLOOM-004",
             "ORD-EXP-PENDING-005",
             "ORD-DEDUP-FLUSH-006",
             "ORD-EXP-ABORT-007",
+            "ORD-DEDUP-GROW-008",
         ];
         for id in cited {
             assert!(notes.iter().any(|(n, _)| *n == id), "missing note {id}");

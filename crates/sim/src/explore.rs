@@ -29,38 +29,37 @@
 //! let graph = Explorer::new(sim)
 //!     .max_states(500_000)   // or .limits(ExploreConfig { .. })
 //!     .crashes(true)         // also explore crash transitions
-//!     .parallelism(4)        // worker threads (1 = sequential, 0 = auto)
+//!     .parallelism(4)        // worker threads (0 = one per CPU)
 //!     .probe(&probe)         // live metrics (optional)
 //!     .run()?;
 //! ```
 //!
-//! With `parallelism(1)` (the default) the graph is produced by a
-//! deterministic sequential loop and state ids are *canonical*: two runs
-//! number the states identically, so golden tests and recorded
-//! [`StateGraph::schedule_to`] replays stay stable. With more threads the
-//! breadth-parallel engine (sharded dedup table, per-worker frontier
-//! deques with work stealing, interned states) explores the same graph —
-//! same states, same transition structure — but discovery order, and
-//! therefore the numbering, depends on the race between workers. Analyses
-//! on [`StateGraph`] are order-independent (see
+//! One engine serves every run: worker threads with per-worker frontier
+//! deques and work stealing, deduplicating through a growable lock-free
+//! fingerprint table whose memory follows the states actually found
+//! (`max_states` is a budget, never a reservation). With
+//! `parallelism(1)` (the default) the single worker expands depth-first
+//! in a fixed order and state ids are *canonical*: two runs number the
+//! states identically, so golden tests and recorded
+//! [`StateGraph::schedule_to`] replays stay stable. With more workers the
+//! same graph is explored — same states, same transition structure — but
+//! discovery order, and therefore the numbering, depends on the race
+//! between workers. Analyses on [`StateGraph`] are order-independent (see
 //! [`StateGraph::nontrivial_sccs`]), so results agree either way.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use anonreg_model::fingerprint::{fp128, Fp128};
+use anonreg_model::fingerprint::Fp128;
 use anonreg_model::structural::StructuralHasher;
 use anonreg_model::{Machine, PidMap, SymmetryMode, View};
-use anonreg_obs::{Metric, NoopProbe, Phase, Probe, Profiler, Span};
+use anonreg_obs::{Metric, NoopProbe, Probe, Profiler};
 
 use crate::canon::StateEncoder;
 use crate::{Simulation, StepOutcome};
-
-use self::dedup::Bloom;
 
 pub mod cert;
 mod dedup;
@@ -76,9 +75,10 @@ pub struct ExploreConfig {
     /// process may crash (§2's failure model). Roughly doubles the state
     /// space per process; off by default.
     pub crashes: bool,
-    /// Number of worker threads. `1` (the default) uses the deterministic
-    /// sequential engine with canonical state ids; `0` means "one worker
-    /// per available CPU"; anything else runs the breadth-parallel engine.
+    /// Number of worker threads. `1` (the default) explores on the
+    /// calling thread alone, with canonical state ids; `0` means "one
+    /// worker per available CPU"; `n > 1` adds `n - 1` spawned workers
+    /// that steal from each other, numbering states in race order.
     pub parallelism: usize,
     /// Ample-set partial-order reduction: when some live processes are
     /// poised at a register-free local step (an event or a halt), explore
@@ -86,8 +86,8 @@ pub struct ExploreConfig {
     /// interleavings. See [`Explorer::por`] for the soundness argument.
     /// Incompatible with [`crashes`](ExploreConfig::crashes).
     pub por: bool,
-    /// Parallel engine only: spill interned canonical codes to disk
-    /// behind an in-memory LRU tier, so the dedup table's memory use no
+    /// Spill interned canonical codes to disk behind an in-memory LRU
+    /// tier, at any worker count, so the dedup table's memory use no
     /// longer grows with the code bytes of every distinct state. See
     /// [`Explorer::spill`].
     pub spill: bool,
@@ -113,10 +113,11 @@ pub enum ExploreError {
         /// The configured limit.
         limit: usize,
     },
-    /// A parallel-engine worker panicked mid-expansion. The run shut
-    /// down cleanly (the panicking worker's pending count was released
-    /// by a drop guard, so the siblings drained and exited), but the
-    /// graph is incomplete and no verdict can be drawn from it.
+    /// An exploration worker — the calling thread's or a spawned one —
+    /// panicked mid-expansion. The run shut down cleanly (the panicking
+    /// worker's pending count was released by a drop guard, so the
+    /// siblings drained and exited), but the graph is incomplete and no
+    /// verdict can be drawn from it.
     WorkerPanicked,
     /// Partial-order reduction was requested together with crash
     /// transitions. §2's crash is enabled from *every* state and is
@@ -338,14 +339,14 @@ where
     ///
     /// The reduced graph has fewer states and edges; safety, fair-
     /// livelock and starvation verdicts are unchanged (enforced across
-    /// every family and both engines by the POR parity suite).
+    /// every family and worker count by the POR parity suite).
     pub fn por(mut self, por: bool) -> Self {
         self.config.por = por;
         self
     }
 
-    /// Parallel engine only: spills interned canonical codes to
-    /// per-worker temp files behind a sharded in-memory LRU tier.
+    /// Spills interned canonical codes to per-worker temp files behind
+    /// a sharded in-memory LRU tier, at any worker count.
     ///
     /// Dedup candidates are verified against the LRU, then against the
     /// spill file when the bytes are already flushed; a candidate whose
@@ -357,9 +358,9 @@ where
         self
     }
 
-    /// Sets the number of worker threads: `1` for the deterministic
-    /// sequential engine (canonical state ids), `0` for one worker per
-    /// available CPU, `n > 1` for the breadth-parallel engine.
+    /// Sets the number of worker threads: `1` for a single worker on the
+    /// calling thread (canonical state ids), `0` for one worker per
+    /// available CPU, `n > 1` for `n` work-stealing workers.
     pub fn parallelism(mut self, parallelism: usize) -> Self {
         self.config.parallelism = parallelism;
         self
@@ -368,12 +369,11 @@ where
     /// Attaches a live [`Probe`].
     ///
     /// The exploration then emits `explore_states`/`explore_edges`/
-    /// `explore_dedup` counters (the parallel engine keys dedup counters
-    /// and `explore_steals` by worker), sampled
-    /// `explore_frontier`/`explore_depth` gauges (final values exact),
-    /// one `explore` span whose length is the number of distinct states,
-    /// and — parallel engine only — one `explore_worker` span per worker
-    /// whose length is the number of states that worker expanded.
+    /// `explore_dedup` counters (dedup counters and `explore_steals` are
+    /// keyed by worker), sampled `explore_frontier`/`explore_depth`
+    /// gauges (final values exact), one `explore` span whose length is
+    /// the number of distinct states, and one `explore_worker` span per
+    /// worker whose length is the number of states that worker expanded.
     /// Counters are flushed incrementally on the gauge sampling cadence
     /// (totals stay exact), so a live stream attached to the probe sees
     /// the exploration progress while it is still running. With
@@ -392,12 +392,15 @@ where
 
     /// Attaches a wall-clock [`Profiler`].
     ///
-    /// Each engine worker then keeps a [`Phase`] timer — `step` (clone +
-    /// machine step), `canon` (canonical/plain encoding), `dedup`
-    /// (intern-table probe), plus `steal`/`idle` in the parallel engine —
-    /// and records its per-phase self-times into the profiler when the
-    /// exploration ends, including on the state-limit error path. Runs
-    /// without a profiler pay nothing.
+    /// Each worker then keeps an [`anonreg_obs::Phase`] timer — `step`
+    /// (clone + machine step), `canon` (canonical/plain encoding),
+    /// `dedup` (table probe and growth; `spill` when spilling),
+    /// `steal`/`idle` — and records its per-phase self-times into the
+    /// profiler when the exploration ends, including on the state-limit
+    /// error path. Every worker's tree spans the whole run: table
+    /// set-up, the wait for a spawned worker's thread, and graph assembly
+    /// are charged to `setup`, and the wait for sibling workers to finish
+    /// to `idle`. Runs without a profiler pay nothing.
     pub fn profiler(mut self, profiler: Arc<Profiler>) -> Self {
         self.profiler = Some(profiler);
         self
@@ -527,24 +530,16 @@ where
             .map(|path| (path, self.structural_hash()));
         let verdicts = std::mem::take(&mut self.verdicts);
         let encoder = self.encoder;
-        let graph = if threads <= 1 {
-            run_sequential(
-                self.initial,
-                &self.config,
-                self.probe,
-                &encoder,
-                self.profiler.as_deref(),
-            )
-        } else {
-            par::run_parallel(
-                self.initial,
-                &self.config,
-                self.probe,
-                threads,
-                &encoder,
-                self.profiler.as_deref(),
-            )
-        }?;
+        let (graph, _) = par::run_impl(
+            self.initial,
+            &self.config,
+            self.probe,
+            threads,
+            &encoder,
+            self.profiler.as_deref(),
+            true,
+        )?;
+        let graph = graph.expect("graph mode materialises a graph");
         if let Some((path, structural)) = emit {
             cert::write_graph(&graph, &encoder, structural, &verdicts, &path).map_err(|e| {
                 ExploreError::Certificate {
@@ -622,24 +617,16 @@ where
     /// Same conditions as [`Explorer::run`].
     pub fn run_stats(self) -> Result<ExploreStats, ExploreError> {
         let threads = self.validate()?;
-        if threads <= 1 {
-            run_sequential_stats(
-                self.initial,
-                &self.config,
-                self.probe,
-                &self.encoder,
-                self.profiler.as_deref(),
-            )
-        } else {
-            par::run_parallel_stats(
-                self.initial,
-                &self.config,
-                self.probe,
-                threads,
-                &self.encoder,
-                self.profiler.as_deref(),
-            )
-        }
+        let (_, stats) = par::run_impl(
+            self.initial,
+            &self.config,
+            self.probe,
+            threads,
+            &self.encoder,
+            self.profiler.as_deref(),
+            false,
+        )?;
+        Ok(stats)
     }
 
     /// Shared run-time validation; returns the resolved thread count.
@@ -670,63 +657,11 @@ pub struct ExploreStats {
     pub max_depth: u32,
 }
 
-/// How often the explorer samples its frontier/depth gauges, in
-/// discovered states. Sampling (rather than reporting every state) keeps
+/// How often each worker samples its frontier/depth gauges, in
+/// states it expanded. Sampling (rather than reporting every state) keeps
 /// the gauges cheap on million-state runs; the final values are always
 /// reported exactly.
 const GAUGE_SAMPLE_EVERY: usize = 1024;
-
-/// The sequential engine's interning table: a bloom-screened,
-/// fingerprint-first index into an arena of flat state codes. Probing
-/// compares `Box<[u8]>` codes — never whole `Simulation`s — so a dedup
-/// hit costs one hash lookup plus one byte-string compare instead of
-/// cloning registers and slots; a definite bloom miss (the common case
-/// for a fresh state) skips even the hash lookup. Single-threaded, so
-/// the bloom's never-false-negative contract is unconditional here.
-struct InternTable {
-    /// low fingerprint half → candidate state ids (almost always one).
-    ids: HashMap<u64, Vec<u32>>,
-    /// Arena of state codes, indexed by state id.
-    codes: Vec<Box<[u8]>>,
-    bloom: Bloom,
-    /// Definite bloom misses: map lookups skipped.
-    bloom_neg: u64,
-}
-
-impl InternTable {
-    fn new(max_states: usize, first: Box<[u8]>) -> Self {
-        let mut table = InternTable {
-            ids: HashMap::new(),
-            codes: Vec::new(),
-            bloom: Bloom::new(max_states),
-            bloom_neg: 0,
-        };
-        table.insert(fp128(&first), first);
-        table
-    }
-
-    /// The id already holding `code` (fingerprinted as `fp`), if any.
-    fn find(&mut self, fp: Fp128, code: &[u8]) -> Option<usize> {
-        if !self.bloom.query(fp) {
-            self.bloom_neg += 1;
-            return None;
-        }
-        let candidates = self.ids.get(&fp.lo)?;
-        candidates
-            .iter()
-            .find(|&&id| &*self.codes[id as usize] == code)
-            .map(|&id| id as usize)
-    }
-
-    /// Interns `code` as the next state id.
-    fn insert(&mut self, fp: Fp128, code: Box<[u8]>) -> usize {
-        let id = self.codes.len();
-        self.bloom.insert(fp);
-        self.ids.entry(fp.lo).or_default().push(id as u32);
-        self.codes.push(code);
-        id
-    }
-}
 
 /// One computed successor of a state, before interning.
 struct Successor<M: Machine> {
@@ -788,7 +723,7 @@ fn expand_into<M: Machine + Eq>(
     }
 }
 
-/// POR counters for one engine worker, reported only when the reduction
+/// POR counters for one worker, reported only when the reduction
 /// actually fired so unreduced runs keep their probe output unchanged.
 #[derive(Default)]
 pub(crate) struct PorTally {
@@ -814,302 +749,7 @@ impl PorTally {
     }
 }
 
-/// Reports the sequential intern table's bloom statistics (definite
-/// misses that skipped a map lookup), if any.
-fn report_bloom<P: Probe>(probe: &P, table: &InternTable) {
-    if table.bloom_neg > 0 {
-        probe.counter(Metric::BloomNeg, 0, table.bloom_neg);
-    }
-}
-
-/// The deterministic sequential engine: a depth-first loop with one
-/// global dedup map. State ids are canonical — two runs from the same
-/// initial simulation number the states identically.
-fn run_sequential<M, P>(
-    initial: Simulation<M>,
-    limits: &ExploreConfig,
-    probe: &P,
-    encoder: &StateEncoder<M>,
-    profiler: Option<&Profiler>,
-) -> Result<StateGraph<M>, ExploreError>
-where
-    M: Machine + Eq + Hash,
-    P: Probe,
-{
-    let mut initial = initial;
-    initial.clear_trace();
-
-    if P::ENABLED {
-        probe.span_open(Span::Explore, 0);
-    }
-    let mut timer = profiler.map(|p| p.timer(0));
-
-    let mut canon_nanos = 0u64;
-    let mut symmetry_hits = 0u64;
-    let mut canon_skipped = 0u64;
-    // When the encoder detected a trivial symmetry group it already
-    // short-circuits to the plain identity path, so timing it as
-    // canonicalization would charge symmetry reduction for work it no
-    // longer does; count the skipped encodes instead.
-    let track_canon =
-        P::ENABLED && encoder.mode() != SymmetryMode::Off && !encoder.skips_trivial_orbits();
-    let track_skipped = P::ENABLED && encoder.skips_trivial_orbits();
-    let mut encode = |sim: &Simulation<M>| {
-        if track_canon {
-            let start = Instant::now();
-            let (code, moved) = encoder.encode(sim);
-            canon_nanos += start.elapsed().as_nanos() as u64;
-            symmetry_hits += u64::from(moved);
-            code
-        } else {
-            canon_skipped += u64::from(track_skipped);
-            encoder.encode(sim).0
-        }
-    };
-
-    let mut table = InternTable::new(limits.max_states, encode(&initial));
-    let mut states = vec![initial];
-    let mut edges: Vec<Vec<Edge<M::Event>>> = Vec::new();
-    let mut parents = vec![None];
-
-    // Discovery depth per state and the running maximum; maintained only
-    // when the probe is enabled.
-    let mut depths: Vec<u32> = if P::ENABLED { vec![0] } else { Vec::new() };
-    let mut max_depth = 0u32;
-    let mut dedup_hits = 0u64;
-    let mut edge_total = 0u64;
-    let mut flushed = FlushedCounters::default();
-    let mut por = PorTally::default();
-    let mut successors: Vec<Successor<M>> = Vec::new();
-
-    let mut frontier = vec![0usize];
-    while let Some(id) = frontier.pop() {
-        if let Some(t) = timer.as_mut() {
-            t.switch(Phase::Step);
-        }
-        por.absorb(expand_into(
-            &states[id],
-            limits.crashes,
-            limits.por,
-            &mut successors,
-        ));
-        let mut out = Vec::with_capacity(successors.len());
-        for succ in successors.drain(..) {
-            if let Some(t) = timer.as_mut() {
-                t.switch(Phase::Canon);
-            }
-            let code = encode(&succ.sim);
-            if let Some(t) = timer.as_mut() {
-                t.switch(Phase::Dedup);
-            }
-            let fp = fp128(&code);
-            let target = match table.find(fp, &code) {
-                Some(t) => {
-                    if P::ENABLED {
-                        dedup_hits += 1;
-                    }
-                    t
-                }
-                None => {
-                    let t = states.len();
-                    if t >= limits.max_states {
-                        if P::ENABLED {
-                            report_explore(
-                                probe,
-                                t as u64,
-                                edge_total,
-                                dedup_hits,
-                                &frontier,
-                                max_depth,
-                                &mut flushed,
-                            );
-                            report_symmetry(probe, 0, symmetry_hits, canon_nanos, canon_skipped);
-                            report_bloom(probe, &table);
-                            por.report(probe, 0);
-                            probe.span_close(Span::Explore, 0, t as u64);
-                        }
-                        record_timer(profiler, timer);
-                        return Err(ExploreError::StateLimitExceeded {
-                            limit: limits.max_states,
-                        });
-                    }
-                    table.insert(fp, code);
-                    states.push(succ.sim);
-                    parents.push(Some((id, succ.proc, succ.crash)));
-                    frontier.push(t);
-                    if P::ENABLED {
-                        let depth = depths[id] + 1;
-                        depths.push(depth);
-                        max_depth = max_depth.max(depth);
-                        if t % GAUGE_SAMPLE_EVERY == 0 {
-                            probe.gauge(Metric::ExploreFrontier, 0, frontier.len() as u64);
-                            probe.gauge(Metric::ExploreDepth, 0, u64::from(max_depth));
-                            flushed.flush(probe, 0, states.len() as u64, edge_total, dedup_hits);
-                        }
-                    }
-                    t
-                }
-            };
-            if P::ENABLED {
-                edge_total += 1;
-            }
-            out.push(Edge {
-                proc: succ.proc,
-                target,
-                events: succ.event.into_iter().collect(),
-                crash: succ.crash,
-            });
-        }
-        // `edges` is indexed by discovery order; fill gaps lazily.
-        if edges.len() <= id {
-            edges.resize_with(states.len(), Vec::new);
-        }
-        edges[id] = out;
-    }
-    edges.resize_with(states.len(), Vec::new);
-
-    if P::ENABLED {
-        report_explore(
-            probe,
-            states.len() as u64,
-            edge_total,
-            dedup_hits,
-            &frontier,
-            max_depth,
-            &mut flushed,
-        );
-        report_symmetry(probe, 0, symmetry_hits, canon_nanos, canon_skipped);
-        report_bloom(probe, &table);
-        por.report(probe, 0);
-        probe.span_close(Span::Explore, 0, states.len() as u64);
-    }
-    record_timer(profiler, timer);
-
-    Ok(StateGraph {
-        states,
-        edges,
-        parents,
-    })
-}
-
-/// The counting sibling of [`run_sequential`]: same interning, same
-/// discovery order, but expanded configurations are dropped immediately —
-/// the frontier owns the only copy of each undiscovered state and no
-/// graph is materialised.
-fn run_sequential_stats<M, P>(
-    initial: Simulation<M>,
-    limits: &ExploreConfig,
-    probe: &P,
-    encoder: &StateEncoder<M>,
-    profiler: Option<&Profiler>,
-) -> Result<ExploreStats, ExploreError>
-where
-    M: Machine + Eq + Hash,
-    P: Probe,
-{
-    let mut initial = initial;
-    initial.clear_trace();
-
-    if P::ENABLED {
-        probe.span_open(Span::Explore, 0);
-    }
-    let mut timer = profiler.map(|p| p.timer(0));
-
-    // Same symmetry instrumentation as the graph path: canonical encodes
-    // are timed, trivial-orbit fast-path encodes are counted instead.
-    let mut canon_nanos = 0u64;
-    let mut symmetry_hits = 0u64;
-    let mut canon_skipped = 0u64;
-    let track_canon =
-        P::ENABLED && encoder.mode() != SymmetryMode::Off && !encoder.skips_trivial_orbits();
-    let track_skipped = P::ENABLED && encoder.skips_trivial_orbits();
-    let mut encode = |sim: &Simulation<M>| {
-        if track_canon {
-            let start = Instant::now();
-            let (code, moved) = encoder.encode(sim);
-            canon_nanos += start.elapsed().as_nanos() as u64;
-            symmetry_hits += u64::from(moved);
-            code
-        } else {
-            canon_skipped += u64::from(track_skipped);
-            encoder.encode(sim).0
-        }
-    };
-
-    let mut table = InternTable::new(limits.max_states, encode(&initial));
-    let mut stats = ExploreStats {
-        states: 1,
-        ..ExploreStats::default()
-    };
-    let mut flushed = FlushedCounters::default();
-    let mut por = PorTally::default();
-    let mut successors: Vec<Successor<M>> = Vec::new();
-
-    let mut frontier: Vec<(Simulation<M>, u32)> = vec![(initial, 0)];
-    while let Some((state, depth)) = frontier.pop() {
-        if let Some(t) = timer.as_mut() {
-            t.switch(Phase::Step);
-        }
-        por.absorb(expand_into(
-            &state,
-            limits.crashes,
-            limits.por,
-            &mut successors,
-        ));
-        drop(state);
-        for succ in successors.drain(..) {
-            if let Some(t) = timer.as_mut() {
-                t.switch(Phase::Canon);
-            }
-            let code = encode(&succ.sim);
-            if let Some(t) = timer.as_mut() {
-                t.switch(Phase::Dedup);
-            }
-            let fp = fp128(&code);
-            stats.edges += 1;
-            if table.find(fp, &code).is_some() {
-                stats.dedup += 1;
-            } else {
-                if stats.states >= limits.max_states as u64 {
-                    if P::ENABLED {
-                        flushed.finish(probe, 0, stats.states, stats.edges, stats.dedup);
-                        report_symmetry(probe, 0, symmetry_hits, canon_nanos, canon_skipped);
-                        por.report(probe, 0);
-                        report_bloom(probe, &table);
-                        probe.span_close(Span::Explore, 0, stats.states);
-                    }
-                    record_timer(profiler, timer);
-                    return Err(ExploreError::StateLimitExceeded {
-                        limit: limits.max_states,
-                    });
-                }
-                table.insert(fp, code);
-                stats.states += 1;
-                stats.max_depth = stats.max_depth.max(depth + 1);
-                frontier.push((succ.sim, depth + 1));
-                if P::ENABLED && stats.states.is_multiple_of(GAUGE_SAMPLE_EVERY as u64) {
-                    probe.gauge(Metric::ExploreFrontier, 0, frontier.len() as u64);
-                    probe.gauge(Metric::ExploreDepth, 0, u64::from(stats.max_depth));
-                    flushed.flush(probe, 0, stats.states, stats.edges, stats.dedup);
-                }
-            }
-        }
-    }
-
-    if P::ENABLED {
-        flushed.finish(probe, 0, stats.states, stats.edges, stats.dedup);
-        probe.gauge(Metric::ExploreFrontier, 0, 0);
-        probe.gauge(Metric::ExploreDepth, 0, u64::from(stats.max_depth));
-        report_symmetry(probe, 0, symmetry_hits, canon_nanos, canon_skipped);
-        por.report(probe, 0);
-        report_bloom(probe, &table);
-        probe.span_close(Span::Explore, 0, stats.states);
-    }
-    record_timer(profiler, timer);
-    Ok(stats)
-}
-
-/// Hands a finished engine worker's phase timer to the profiler, if both
+/// Hands a finished worker's phase timer to the profiler, if both
 /// are attached.
 pub(crate) fn record_timer(profiler: Option<&Profiler>, timer: Option<anonreg_obs::PhaseTimer>) {
     if let (Some(p), Some(t)) = (profiler, timer) {
@@ -1118,7 +758,7 @@ pub(crate) fn record_timer(profiler: Option<&Profiler>, timer: Option<anonreg_ob
 }
 
 /// Running totals already emitted as incremental `explore_*` counter
-/// flushes. The engines flush on the gauge sampling cadence so a live
+/// flushes. Workers flush on the gauge sampling cadence so a live
 /// stream sees progress mid-run; the final report emits only the
 /// remainder, keeping every counter total exact.
 #[derive(Default)]
@@ -1168,24 +808,8 @@ impl FlushedCounters {
     }
 }
 
-/// Final (exact) gauge/counter emission for one sequential exploration:
-/// flushes the counter remainders and reports the exact final gauges.
-fn report_explore<P: Probe>(
-    probe: &P,
-    states: u64,
-    edges: u64,
-    dedup: u64,
-    frontier: &[usize],
-    max_depth: u32,
-    flushed: &mut FlushedCounters,
-) {
-    flushed.finish(probe, 0, states, edges, dedup);
-    probe.gauge(Metric::ExploreFrontier, 0, frontier.len() as u64);
-    probe.gauge(Metric::ExploreDepth, 0, u64::from(max_depth));
-}
-
-/// Symmetry-reduction counters for one engine (`key` is 0 for the
-/// sequential engine, the worker index for the parallel one). Emitted
+/// Symmetry-reduction counters for one worker (`key` is the worker
+/// index). Emitted
 /// only when canonicalization actually did something, so plain
 /// explorations keep their probe output unchanged. `skipped` counts the
 /// encodes that took the trivial-orbit fast path instead of a canonical
@@ -1588,7 +1212,9 @@ fn tarjan<E>(n: usize, edges: &[Vec<Edge<E>>]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use anonreg_model::{Pid, Step, View};
+    use anonreg_obs::Span;
 
     /// Two-phase toy: writes its pid, reads, halts. Tiny state space.
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -1624,6 +1250,15 @@ mod tests {
         }
     }
 
+    impl PidMap for Toy {
+        fn map_pids(&self, f: &mut dyn FnMut(Pid) -> Pid) -> Self {
+            Toy {
+                pid: f(self.pid),
+                phase: self.phase,
+            }
+        }
+    }
+
     /// Spins forever re-reading register 0 (a guaranteed livelock).
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct Spinner {
@@ -1644,6 +1279,12 @@ mod tests {
 
         fn resume(&mut self, _read: Option<u64>) -> Step<u64, &'static str> {
             Step::Read(0)
+        }
+    }
+
+    impl PidMap for Spinner {
+        fn map_pids(&self, f: &mut dyn FnMut(Pid) -> Pid) -> Self {
+            Spinner { pid: f(self.pid) }
         }
     }
 
@@ -1862,9 +1503,19 @@ mod tests {
         assert_eq!(frontier.last, 0);
         let depth = snap.gauge_stat(Metric::ExploreDepth).unwrap();
         assert!(depth.max >= 1 && depth.max < graph.state_count() as u64);
-        // One explore span, length = states.
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].length, graph.state_count() as u64);
+        // One explore span, length = states, around the one worker's
+        // span, length = states it expanded (all of them).
+        assert_eq!(snap.spans.len(), 2);
+        for span in &snap.spans {
+            assert_eq!(span.length, graph.state_count() as u64, "{span:?}");
+        }
+        assert_eq!(
+            snap.spans
+                .iter()
+                .filter(|s| s.span == Span::ExploreWorker)
+                .count(),
+            1
+        );
         // And the probed graph is identical to the unprobed one.
         let plain = Explorer::new(build()).run().unwrap();
         assert_eq!(plain.state_count(), graph.state_count());
@@ -1900,7 +1551,8 @@ mod tests {
         assert_eq!(err, ExploreError::StateLimitExceeded { limit: 3 });
         let snap = probe.into_snapshot();
         assert_eq!(snap.counter_total(Metric::ExploreStates), 3);
-        assert_eq!(snap.spans.len(), 1);
+        // The explore span and the worker's, both closed on the error path.
+        assert_eq!(snap.spans.len(), 2);
     }
 
     #[test]
@@ -1942,64 +1594,40 @@ mod tests {
             .unwrap()
     }
 
-    /// Asserts `a` and `b` are the same graph up to state renumbering.
-    fn assert_isomorphic<M: Machine + Eq + Hash>(a: &StateGraph<M>, b: &StateGraph<M>) {
-        assert_eq!(a.state_count(), b.state_count());
-        assert_eq!(a.edge_count(), b.edge_count());
-        // Configurations are unique within a graph, so fingerprint +
-        // equality gives a bijection.
-        let mut by_fp: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (id, s) in b.states() {
-            by_fp.entry(s.fingerprint()).or_default().push(id);
-        }
-        let mut map = vec![usize::MAX; a.state_count()];
-        for (id, s) in a.states() {
-            let candidates = by_fp.get(&s.fingerprint()).expect("fingerprint matches");
-            map[id] = *candidates
-                .iter()
-                .find(|&&c| s.same_configuration(b.state(c)))
-                .expect("configuration present in both graphs");
-        }
-        // Edge multisets agree under the bijection.
-        for (id, _) in a.states() {
-            let mut ea: Vec<(usize, usize, bool, String)> = a
-                .edges(id)
-                .iter()
-                .map(|e| (e.proc, map[e.target], e.crash, format!("{:?}", e.events)))
-                .collect();
-            let mut eb: Vec<(usize, usize, bool, String)> = b
-                .edges(map[id])
-                .iter()
-                .map(|e| (e.proc, e.target, e.crash, format!("{:?}", e.events)))
-                .collect();
-            ea.sort();
-            eb.sort();
-            assert_eq!(ea, eb, "edge multiset mismatch at state {id}");
-        }
+    /// The reference explorer's graph of `sim` (no symmetry reduction).
+    fn reference_of<M>(sim: &Simulation<M>, crashes: bool, por: bool) -> reference::RefGraph
+    where
+        M: Machine + Eq + Hash + PidMap,
+        M::Value: PidMap,
+    {
+        reference::explore(sim, crashes, por, SymmetryMode::Off)
     }
 
     #[test]
-    fn parallel_graph_is_isomorphic_to_sequential() {
-        let sequential = Explorer::new(two_toys()).run().unwrap();
-        for threads in [2, 4] {
-            let parallel = Explorer::new(two_toys())
+    fn graph_matches_the_reference_at_every_worker_count() {
+        let expected = reference_of(&two_toys(), false, false);
+        for threads in [1, 2, 4] {
+            let graph = Explorer::new(two_toys())
                 .parallelism(threads)
                 .run()
                 .unwrap();
-            assert_isomorphic(&parallel, &sequential);
+            reference::assert_matches(&format!("{threads} workers"), &graph, &expected);
         }
     }
 
     #[test]
     fn parallel_explorer_handles_crashes() {
-        let sequential = Explorer::new(two_toys()).crashes(true).run().unwrap();
         let parallel = Explorer::new(two_toys())
             .crashes(true)
             .parallelism(3)
             .run()
             .unwrap();
-        assert_isomorphic(&parallel, &sequential);
-        // Crash edges survive the parallel path.
+        reference::assert_matches(
+            "crashes",
+            &parallel,
+            &reference_of(&two_toys(), true, false),
+        );
+        // Crash edges survive the multi-worker path.
         let crash_edges = (0..parallel.state_count())
             .flat_map(|id| parallel.edges(id))
             .filter(|e| e.crash)
@@ -2020,8 +1648,7 @@ mod tests {
     #[test]
     fn parallelism_zero_means_auto() {
         let graph = Explorer::new(two_toys()).parallelism(0).run().unwrap();
-        let sequential = Explorer::new(two_toys()).run().unwrap();
-        assert_isomorphic(&graph, &sequential);
+        reference::assert_matches("auto", &graph, &reference_of(&two_toys(), false, false));
     }
 
     #[test]
@@ -2062,7 +1689,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_livelock_detection_matches_sequential() {
+    fn parallel_livelock_detection_matches_the_reference() {
         let build = || {
             Simulation::builder()
                 .process(Spinner { pid: pid(1) }, View::identity(1))
@@ -2070,9 +1697,8 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let sequential = Explorer::new(build()).run().unwrap();
         let parallel = Explorer::new(build()).parallelism(4).run().unwrap();
-        assert_isomorphic(&parallel, &sequential);
+        reference::assert_matches("spinners", &parallel, &reference_of(&build(), false, false));
         assert!(parallel.find_fair_livelock(|_| true, |_| false).is_some());
     }
 
@@ -2138,10 +1764,11 @@ mod tests {
     }
 
     /// POR prunes interleavings of the Toys' local (event/halt) steps but
-    /// must preserve reachability of the terminal configurations and the
-    /// engines must agree on the reduced graph exactly.
+    /// must preserve reachability of the terminal configurations, and
+    /// every worker count must agree with the reference on the reduced
+    /// graph exactly.
     #[test]
-    fn por_reduces_and_engines_agree() {
+    fn por_reduces_and_matches_the_reference() {
         let full = Explorer::new(two_toys()).run().unwrap();
         let reduced = Explorer::new(two_toys()).por(true).run().unwrap();
         assert!(reduced.state_count() < full.state_count(), "nothing pruned");
@@ -2155,13 +1782,15 @@ mod tests {
                 "terminal state with register {winner} lost by the reduction"
             );
         }
+        let expected = reference_of(&two_toys(), false, true);
+        reference::assert_matches("por, 1 worker", &reduced, &expected);
         for threads in [2, 4] {
             let parallel = Explorer::new(two_toys())
                 .por(true)
                 .parallelism(threads)
                 .run()
                 .unwrap();
-            assert_isomorphic(&parallel, &reduced);
+            reference::assert_matches(&format!("por, {threads} workers"), &parallel, &expected);
         }
     }
 
@@ -2207,25 +1836,49 @@ mod tests {
         }
     }
 
-    /// Spilling codes to disk must not change the graph.
+    /// Spilling codes to disk must not change the graph, at any worker
+    /// count.
     #[test]
-    fn spilled_graph_is_isomorphic_to_in_memory() {
-        let baseline = Explorer::new(two_toys()).run().unwrap();
-        for threads in [2, 4] {
+    fn spilled_graph_matches_the_reference() {
+        let expected = reference_of(&two_toys(), false, false);
+        for threads in [1, 2, 4] {
             let spilled = Explorer::new(two_toys())
                 .spill(true)
                 .parallelism(threads)
                 .run()
                 .unwrap();
-            assert_isomorphic(&spilled, &baseline);
+            reference::assert_matches(&format!("spill, {threads} workers"), &spilled, &expected);
         }
-        let stats = Explorer::new(two_toys())
+        for threads in [1, 2] {
+            let stats = Explorer::new(two_toys())
+                .spill(true)
+                .parallelism(threads)
+                .run_stats()
+                .unwrap();
+            assert_eq!(stats.states as usize, expected.codes.len());
+            assert_eq!(stats.edges as usize, expected.edge_count());
+        }
+    }
+
+    /// One worker spills too: the codes go to disk, not to the arena.
+    #[test]
+    fn one_worker_spills() {
+        use anonreg_obs::MemProbe;
+        let probe = MemProbe::new();
+        let graph = Explorer::new(two_toys())
             .spill(true)
-            .parallelism(2)
-            .run_stats()
+            .probe(&probe)
+            .run()
             .unwrap();
-        assert_eq!(stats.states as usize, baseline.state_count());
-        assert_eq!(stats.edges as usize, baseline.edge_count());
+        let snap = probe.into_snapshot();
+        assert!(
+            snap.counter_total(Metric::SpillBytes) > 0,
+            "nothing spilled"
+        );
+        assert_eq!(
+            snap.counter_total(Metric::ExploreStates),
+            graph.state_count() as u64
+        );
     }
 
     /// Blows up mid-exploration: halves a fuse per write, panics at zero.
@@ -2278,7 +1931,8 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        for threads in [2, 4] {
+        // One worker panics on the calling thread, more on spawned ones.
+        for threads in [1, 2, 4] {
             let err = Explorer::new(build())
                 .parallelism(threads)
                 .run()
@@ -2295,11 +1949,11 @@ mod tests {
 
     /// Seeded cross-thread dedup races: many short-lived explorations of
     /// the same space, varying thread counts, must all agree with the
-    /// sequential graph (exercises the claim-CAS/publish/spin protocol
+    /// reference graph (exercises the claim-CAS/publish/spin protocol
     /// under real interleavings).
     #[test]
-    fn seeded_parallel_runs_agree_with_sequential() {
-        let baseline = Explorer::new(two_toys()).run().unwrap();
+    fn seeded_parallel_runs_agree_with_the_reference() {
+        let expected = reference_of(&two_toys(), false, false);
         for seed in 0..8u32 {
             let threads = 2 + (seed as usize % 3);
             let parallel = Explorer::new(two_toys())
@@ -2307,17 +1961,20 @@ mod tests {
                 .spill(seed % 2 == 1)
                 .run()
                 .unwrap();
-            assert_isomorphic(&parallel, &baseline);
+            reference::assert_matches(&format!("seed {seed}"), &parallel, &expected);
         }
     }
 
     /// The batched fingerprint path (encode+hash `FP_BATCH` successors,
     /// then probe the table) must leave every count bit-identical to the
-    /// sequential engine under seeded race variation — the batching
+    /// one-worker run under seeded race variation — the batching
     /// reorders nothing, it only groups.
     #[test]
     fn batched_fingerprinting_counts_are_bit_identical() {
         let baseline = Explorer::new(two_toys()).run_stats().unwrap();
+        let expected = reference_of(&two_toys(), false, false);
+        assert_eq!(baseline.states as usize, expected.codes.len());
+        assert_eq!(baseline.edges as usize, expected.edge_count());
         for seed in 0..8u32 {
             let threads = 2 + (seed as usize % 3);
             let stats = Explorer::new(two_toys())
@@ -2333,12 +1990,12 @@ mod tests {
 
     #[test]
     fn por_with_full_symmetry_is_rejected() {
-        // Toy lacks PidMap, so exercise the validation through config
-        // alone is impossible here — the mode check needs an encoder in
-        // Full mode, which `symmetry()` gates on PidMap. The family-level
-        // rejection test lives in por_modelcheck.rs; this one pins the
-        // error's Display text.
-        let err = ExploreError::PorWithFullSymmetry;
+        let err = Explorer::new(two_toys())
+            .por(true)
+            .symmetry(SymmetryMode::Full)
+            .run()
+            .unwrap_err();
+        assert_eq!(err, ExploreError::PorWithFullSymmetry);
         assert!(err.to_string().contains("SymmetryMode::Full"));
         assert!(err.to_string().contains("Registers"));
     }
@@ -2386,10 +2043,10 @@ mod tests {
         );
     }
 
-    /// Both engines must emit byte-identical certificates: the canonical
-    /// code sort erases discovery order.
+    /// Every worker count must emit byte-identical certificates: the
+    /// canonical code sort erases discovery order.
     #[test]
-    fn parallel_certificate_matches_sequential_bytes() {
+    fn certificates_match_across_worker_counts() {
         let dir = cert_dir("engines");
         let seq_path = dir.join("seq.cert");
         let par_path = dir.join("par.cert");
@@ -2401,7 +2058,7 @@ mod tests {
             .unwrap();
         let seq = std::fs::read(&seq_path).unwrap();
         let par = std::fs::read(&par_path).unwrap();
-        assert_eq!(seq, par, "certificates diverge between engines");
+        assert_eq!(seq, par, "certificates diverge between worker counts");
     }
 
     /// A certificate is refused once the problem changes: different

@@ -1,24 +1,22 @@
-//! Lock-free deduplication substrate for the parallel explorer.
+//! Deduplication substrate for the explorer.
 //!
-//! Three cooperating pieces, replacing the 64-way mutex-striped shard map:
+//! Three cooperating pieces:
 //!
-//! * [`FpTable`] — a fixed-capacity open-addressing fingerprint table.
-//!   Each 16-byte slot is a pair of atomics: `fp` holds the low half of
-//!   the state's 128-bit FNV-1a fingerprint (the probe key) and `meta`
-//!   packs `(id + 1) << 32 | hi32` once the entry is published. Insertion
+//! * [`FpTable`] — a growable open-addressing fingerprint table. Each
+//!   16-byte slot is a pair of atomics: `fp` holds the low half of the
+//!   state's 128-bit FNV-1a fingerprint (the probe key) and `meta` packs
+//!   `(id + 1) << 32 | hi32` once the entry is published. Insertion
 //!   claims a slot with a single compare-and-swap and publishes the id
 //!   with a release store, exactly the Arc-style publication idiom: the
 //!   writer releases after the payload (canonical code, spill location,
 //!   LRU entry) is in place, and readers acquire through `meta` before
-//!   touching any of it.
-//! * [`Bloom`] — a blocked atomic bloom filter fed before any slot is
-//!   claimed. Because bits are set *before* the claim CAS, a fingerprint
-//!   that was ever interned always queries positive (never a false
-//!   negative); the sequential engine uses a definite miss to skip its
-//!   dedup-map lookup entirely, while the parallel engine treats the
-//!   answer as a statistic only (a concurrent inserter's bits may land
-//!   after our query but before our probe, so a "miss" must not skip
-//!   slot verification there — see ORD-DEDUP-BLOOM-004).
+//!   touching any of it. The table starts at [`MIN_SLOTS`] and doubles
+//!   by migration whenever it is half full (see [`FpTable`]), so its
+//!   memory follows the number of states actually interned, not the
+//!   `max_states` budget.
+//! * [`Segments`] — id-indexed arrays (the canonical-code arena, the
+//!   spill locations, the graph-mode node store) made of doubling
+//!   segments, each allocated on first use.
 //! * [`SpillStore`] — an append-only on-disk code store behind a sharded
 //!   LRU in-memory tier, so canonical codes no longer pin the run's state
 //!   count to RAM. Codes append to per-worker unlinked temp files (the
@@ -44,19 +42,20 @@
 //!   publish (the limit path publishes a sentinel), so the spin is
 //!   bounded by the claim-to-publish window unless the run is tearing
 //!   down.
-//! * `ORD-DEDUP-BLOOM-004` — bloom words are Relaxed: under concurrency
-//!   the filter is advisory (bits may trail a visible slot claim), so no
-//!   correctness decision ever rests on a bloom miss alone.
 //! * `ORD-DEDUP-FLUSH-006` — the spill watermark is stored Release after
 //!   `write_all_at` returns and loaded Acquire before `read_at`, so a
 //!   covered range is durably readable.
+//! * `ORD-DEDUP-GROW-008` — the growth trigger is a Relaxed load of the
+//!   id counter before a claim; the migration itself runs under the
+//!   table's write guard, whose release/acquire pairing with every
+//!   reader's shared guard hands the published slots to the new table.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard};
 
 use anonreg_model::fingerprint::Fp128;
 
@@ -72,6 +71,7 @@ const LIMIT_META: u64 = u64::MAX;
 /// half this many slots is capped by the table, keeping probe chains
 /// short at ≤ 50% load.
 const MAX_SLOTS: usize = 1 << 28;
+/// Slots a fresh table starts with (16 KiB).
 const MIN_SLOTS: usize = 1 << 10;
 
 struct Slot {
@@ -82,7 +82,7 @@ struct Slot {
     meta: AtomicU64,
 }
 
-/// Outcome of a [`FpTable::intern`] probe.
+/// Outcome of a [`Reader::intern`] probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Probe {
     /// The code was new; this thread claimed the returned id.
@@ -95,69 +95,60 @@ pub(crate) enum Probe {
     Aborted,
 }
 
-/// Fixed-capacity lock-free open-addressing fingerprint table.
-///
-/// Capacity is sized from the explorer's `max_states` bound (which is
-/// always finite — the default config caps at 10⁶) to twice the state
-/// budget, rounded up to a power of two, so load never exceeds 50% and
-/// linear probe chains stay short. Slots are never unclaimed: `fp` and a
-/// published `meta` are immutable once written, which is what makes the
-/// wait-free read path sound.
-pub(crate) struct FpTable {
+/// One generation of the table: a power-of-two slot array.
+struct Slots {
     slots: Box<[Slot]>,
     mask: usize,
-    next_id: AtomicUsize,
-    /// Effective state budget: `min(max_states, slots / 2)`.
-    limit: usize,
+    /// Claims stop and ask for a migration once this many ids are
+    /// allocated (half the slots); `usize::MAX` at the final size.
+    grow_at: usize,
 }
 
-impl FpTable {
-    pub(crate) fn new(max_states: usize) -> Self {
-        let want = max_states.saturating_mul(2).max(1);
-        let slots_len = want
-            .checked_next_power_of_two()
-            .unwrap_or(MAX_SLOTS)
-            .clamp(MIN_SLOTS, MAX_SLOTS);
-        let mut slots = Vec::with_capacity(slots_len);
-        slots.resize_with(slots_len, || Slot {
-            fp: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-        });
-        FpTable {
-            slots: slots.into_boxed_slice(),
-            mask: slots_len - 1,
-            next_id: AtomicUsize::new(0),
-            limit: max_states.min(slots_len / 2),
+impl Slots {
+    fn new(len: usize, max_len: usize) -> Self {
+        let slots = (0..len)
+            .map(|_| Slot {
+                fp: AtomicU64::new(0),
+                meta: AtomicU64::new(0),
+            })
+            .collect();
+        Slots {
+            slots,
+            mask: len - 1,
+            grow_at: if len >= max_len { usize::MAX } else { len / 2 },
         }
     }
 
-    /// The effective state budget (min of `max_states` and table capacity).
-    pub(crate) fn limit(&self) -> usize {
-        self.limit
+    /// A table twice this size holding every claimed slot. Runs under
+    /// the write guard, so plain (non-atomic) access suffices: no intern
+    /// is in flight, and every claimant published before releasing its
+    /// shared guard.
+    fn doubled(&mut self, max_len: usize) -> Slots {
+        let mut next = Slots::new(self.slots.len() * 2, max_len);
+        for slot in self.slots.iter_mut() {
+            let key = *slot.fp.get_mut();
+            if key == 0 {
+                continue;
+            }
+            let mut idx = (key as usize) & next.mask;
+            while *next.slots[idx].fp.get_mut() != 0 {
+                idx = (idx + 1) & next.mask;
+            }
+            *next.slots[idx].fp.get_mut() = key;
+            *next.slots[idx].meta.get_mut() = *slot.meta.get_mut();
+        }
+        next
     }
 
-    /// States interned so far (clamped to the budget).
-    pub(crate) fn len(&self) -> usize {
-        self.next_id.load(Ordering::Relaxed).min(self.limit)
-    }
-
-    /// Finds or inserts the state fingerprinted by `fp`.
-    ///
-    /// `is_same(id)` decides whether candidate `id` (same 96 fingerprint
-    /// bits) really is this state — authoritative code comparison, or a
-    /// fingerprint-trusting fallback in spill mode. `publish(id)` runs
-    /// after id allocation and **before** the entry becomes visible; it
-    /// must put the canonical code wherever `is_same` will look
-    /// (ORD-DEDUP-META-002 makes that publication visible to readers).
-    /// `should_abort()` bounds the publication-wait spin
-    /// (ORD-DEDUP-SPIN-003).
-    pub(crate) fn intern(
+    /// One probe of this generation; `None` asks for a migration.
+    fn intern(
         &self,
+        table: &FpTable,
         fp: Fp128,
-        mut is_same: impl FnMut(u32) -> bool,
-        publish: impl FnOnce(u32),
-        should_abort: impl Fn() -> bool,
-    ) -> Probe {
+        is_same: &mut impl FnMut(u32) -> bool,
+        publish: &mut impl FnMut(u32),
+        should_abort: &impl Fn() -> bool,
+    ) -> Option<Probe> {
         let key = if fp.lo == 0 {
             ZERO_KEY_SUBSTITUTE
         } else {
@@ -180,17 +171,17 @@ impl FpTable {
                     }
                     spins = spins.wrapping_add(1);
                     if spins & 1023 == 0 && should_abort() {
-                        return Probe::Aborted;
+                        return Some(Probe::Aborted);
                     }
                     std::hint::spin_loop();
                 };
                 if meta == LIMIT_META {
-                    return Probe::Limit;
+                    return Some(Probe::Limit);
                 }
                 if meta as u32 == hi32 {
                     let id = (meta >> 32) as u32 - 1;
                     if is_same(id) {
-                        return Probe::Known(id);
+                        return Some(Probe::Known(id));
                     }
                 }
                 // Different state sharing 64 (or even 96) fingerprint
@@ -198,6 +189,11 @@ impl FpTable {
                 // later slot of the same chain.
                 idx = (idx + 1) & self.mask;
             } else if cur == 0 {
+                // ORD-DEDUP-GROW-008: a stale count only lets this claim
+                // overshoot the threshold by one.
+                if table.next_id.load(Ordering::Relaxed) >= self.grow_at {
+                    return None;
+                }
                 // ORD-DEDUP-CLAIM-001: Relaxed claim; payload publication
                 // is meta's job. On failure re-examine the same slot,
                 // which is now permanently nonzero.
@@ -206,19 +202,19 @@ impl FpTable {
                     .compare_exchange(0, key, Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok()
                 {
-                    let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                    if id >= self.limit {
+                    let id = table.next_id.fetch_add(1, Ordering::Relaxed);
+                    if id >= table.limit {
                         // Claimants always publish, even on the limit
                         // path, so concurrent spinners can't hang.
                         slot.meta.store(LIMIT_META, Ordering::Release);
-                        return Probe::Limit;
+                        return Some(Probe::Limit);
                     }
                     let id = id as u32;
                     publish(id);
                     let meta = (u64::from(id) + 1) << 32 | u64::from(hi32);
                     // ORD-DEDUP-META-002: Release-publish after payload.
                     slot.meta.store(meta, Ordering::Release);
-                    return Probe::Fresh(id);
+                    return Some(Probe::Fresh(id));
                 }
             } else {
                 idx = (idx + 1) & self.mask;
@@ -227,55 +223,182 @@ impl FpTable {
     }
 }
 
-/// Blocked atomic bloom filter over 128-bit fingerprints.
+/// Growable lock-free open-addressing fingerprint table.
 ///
-/// Sized at ~8 bits per expected state with two probes (one per
-/// fingerprint half), for a false-positive rate around 5% at full load.
-/// Inserts happen **before** the table claim, so anything ever interned
-/// queries positive — the never-false-negative half of the contract is
-/// unconditional; the false-positive rate is only a performance knob.
-pub(crate) struct Bloom {
-    words: Box<[AtomicU64]>,
-    bit_mask: u64,
+/// The slot array starts at [`MIN_SLOTS`] (or a little more, so every
+/// worker can overshoot the growth threshold by one claim) and doubles
+/// whenever half its slots are taken, up to twice the state budget
+/// rounded to a power of two — so load never exceeds 50% and linear probe
+/// chains stay short. Within one generation slots are never unclaimed:
+/// `fp` and a published `meta` are immutable once written, which is what
+/// makes the wait-free read path sound.
+///
+/// Interns run under a shared [`Reader`] guard. The claimant that finds
+/// the table half full releases its guard and migrates: under the write
+/// guard it re-inserts every published `(fp, meta)` pair into a table
+/// twice the size. Ids live in `meta`, so they survive the move, and no
+/// canonical code is re-read.
+pub(crate) struct FpTable {
+    slots: RwLock<Slots>,
+    next_id: AtomicUsize,
+    /// Effective state budget: `min(max_states, max_slots / 2)`.
+    limit: usize,
+    /// The size the table stops doubling at.
+    max_slots: usize,
 }
 
-impl Bloom {
-    pub(crate) fn new(expected_states: usize) -> Self {
-        let bits = expected_states
-            .saturating_mul(8)
-            .checked_next_power_of_two()
-            .unwrap_or(1 << 33)
-            .clamp(1 << 12, 1 << 33);
-        let words = (0..bits / 64).map(|_| AtomicU64::new(0)).collect();
-        Bloom {
-            words,
-            bit_mask: bits as u64 - 1,
+impl FpTable {
+    /// A table for up to `max_states` states, probed by up to `workers`
+    /// threads at once. Only [`MIN_SLOTS`] slots are allocated up front.
+    pub(crate) fn new(max_states: usize, workers: usize) -> Self {
+        let slots_for = |n: usize| {
+            n.saturating_mul(2)
+                .max(1)
+                .checked_next_power_of_two()
+                .unwrap_or(MAX_SLOTS)
+                .clamp(MIN_SLOTS, MAX_SLOTS)
+        };
+        // Claims racing past the growth check overshoot it by at most
+        // one per worker, which the free half of the table absorbs.
+        let max_slots = slots_for(max_states.max(workers));
+        let first = slots_for(workers).min(max_slots);
+        FpTable {
+            slots: RwLock::new(Slots::new(first, max_slots)),
+            next_id: AtomicUsize::new(0),
+            limit: max_states.min(max_slots / 2),
+            max_slots,
         }
     }
 
-    fn bit_positions(&self, fp: Fp128) -> (u64, u64) {
-        // Two probes drawn from distinct fingerprint halves (mixed so a
-        // shared low half doesn't collapse both probes).
-        (
-            fp.hi & self.bit_mask,
-            (fp.hi >> 32 ^ fp.lo.rotate_left(17)) & self.bit_mask,
-        )
+    /// States interned so far (clamped to the budget).
+    pub(crate) fn len(&self) -> usize {
+        self.next_id.load(Ordering::Relaxed).min(self.limit)
     }
 
-    /// Marks `fp` present. ORD-DEDUP-BLOOM-004: Relaxed — the filter is
-    /// advisory under concurrency.
-    pub(crate) fn insert(&self, fp: Fp128) {
-        let (a, b) = self.bit_positions(fp);
-        self.words[(a >> 6) as usize].fetch_or(1 << (a & 63), Ordering::Relaxed);
-        self.words[(b >> 6) as usize].fetch_or(1 << (b & 63), Ordering::Relaxed);
+    /// Bytes of slot array currently allocated.
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        self.read_slots().slots.len() * std::mem::size_of::<Slot>()
     }
 
-    /// `true` if `fp` may have been inserted; `false` only if it
-    /// definitely was not (by any insert that happens-before this query).
-    pub(crate) fn query(&self, fp: Fp128) -> bool {
-        let (a, b) = self.bit_positions(fp);
-        self.words[(a >> 6) as usize].load(Ordering::Relaxed) & (1 << (a & 63)) != 0
-            && self.words[(b >> 6) as usize].load(Ordering::Relaxed) & (1 << (b & 63)) != 0
+    /// Shared access for a run of [`Reader::intern`] calls. Hold it for
+    /// one work item, not across idle waits: a migration waits for every
+    /// reader to let go.
+    pub(crate) fn reader(&self) -> Reader<'_> {
+        Reader {
+            table: self,
+            slots: Some(self.read_slots()),
+        }
+    }
+
+    fn read_slots(&self) -> RwLockReadGuard<'_, Slots> {
+        self.slots.read().expect("dedup table lock")
+    }
+
+    /// Doubles the table unless a sibling already grew it past `seen`
+    /// slots.
+    fn grow(&self, seen: usize) {
+        let mut slots = self.slots.write().expect("dedup table lock");
+        if slots.slots.len() == seen {
+            *slots = slots.doubled(self.max_slots);
+        }
+    }
+}
+
+/// A shared guard on an [`FpTable`], through which interns run.
+pub(crate) struct Reader<'a> {
+    table: &'a FpTable,
+    /// `None` only while this reader waits out a migration.
+    slots: Option<RwLockReadGuard<'a, Slots>>,
+}
+
+impl Reader<'_> {
+    /// Finds or inserts the state fingerprinted by `fp`.
+    ///
+    /// `is_same(id)` decides whether candidate `id` (same 96 fingerprint
+    /// bits) really is this state — authoritative code comparison, or a
+    /// fingerprint-trusting fallback in spill mode. `publish(id)` runs
+    /// after id allocation and **before** the entry becomes visible; it
+    /// must put the canonical code wherever `is_same` will look
+    /// (ORD-DEDUP-META-002 makes that publication visible to readers).
+    /// `should_abort()` bounds the publication-wait spin
+    /// (ORD-DEDUP-SPIN-003). A probe that would claim a slot of a
+    /// half-full table first migrates it to twice the size and retries.
+    pub(crate) fn intern(
+        &mut self,
+        fp: Fp128,
+        mut is_same: impl FnMut(u32) -> bool,
+        mut publish: impl FnMut(u32),
+        should_abort: impl Fn() -> bool,
+    ) -> Probe {
+        let table = self.table;
+        loop {
+            let slots = self.slots.as_ref().expect("reader holds its guard");
+            if let Some(probe) = slots.intern(table, fp, &mut is_same, &mut publish, &should_abort)
+            {
+                return probe;
+            }
+            // Release the shared guard so the migration can take the
+            // exclusive one, then retry against the grown table.
+            let seen = slots.slots.len();
+            self.slots = None;
+            table.grow(seen);
+            self.slots = Some(table.read_slots());
+        }
+    }
+}
+
+/// Ids held by the first segment of a [`Segments`] array; segment `k`
+/// holds `FIRST_SEGMENT << k`.
+const FIRST_SEGMENT: usize = 1 << 10;
+/// Enough doubling segments to index every `u32` id.
+const SEGMENT_COUNT: usize = 23;
+
+/// An id-indexed array of `T::default()` cells that grows by doubling
+/// segments, each allocated the first time an id inside it is touched.
+/// Allocated memory is at most twice what the highest id needs, whatever
+/// the id budget.
+pub(crate) struct Segments<T> {
+    segments: [OnceLock<Box<[T]>>; SEGMENT_COUNT],
+}
+
+/// The segment holding `id`, and its offset there.
+fn locate(id: usize) -> (usize, usize) {
+    let k = (id / FIRST_SEGMENT + 1).ilog2() as usize;
+    (k, id - FIRST_SEGMENT * ((1 << k) - 1))
+}
+
+impl<T: Default> Segments<T> {
+    pub(crate) fn new() -> Self {
+        Segments {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// The cell for `id`, allocating its segment on first use.
+    pub(crate) fn get(&self, id: usize) -> &T {
+        let (k, offset) = locate(id);
+        let segment = self.segments[k]
+            .get_or_init(|| (0..FIRST_SEGMENT << k).map(|_| T::default()).collect());
+        &segment[offset]
+    }
+
+    /// Bytes of cells currently allocated.
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        self.segments
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|s| s.len() * std::mem::size_of::<T>())
+            .sum()
+    }
+
+    /// The first `len` cells in id order, consuming the array one
+    /// segment at a time.
+    pub(crate) fn into_prefix(self, len: usize) -> impl Iterator<Item = T> {
+        self.segments
+            .into_iter()
+            .filter_map(OnceLock::into_inner)
+            .flat_map(<[T]>::into_vec)
+            .take(len)
     }
 }
 
@@ -334,20 +457,16 @@ pub(crate) struct SpillCounters {
 /// decode where its code lives.
 pub(crate) struct SpillStore {
     files: Vec<SpillFile>,
-    locs: Box<[AtomicU64]>,
+    locs: Segments<AtomicU64>,
     lru: Vec<Mutex<LruShard>>,
     lru_budget_per_shard: usize,
     pub(crate) counters: SpillCounters,
 }
 
 impl SpillStore {
-    /// `workers` capped at 32 by the loc packing; the parallel engine
-    /// clamps its thread count accordingly when spilling.
-    pub(crate) fn new(
-        workers: usize,
-        max_states: usize,
-        lru_budget_bytes: usize,
-    ) -> io::Result<Self> {
+    /// `workers` capped at 32 by the loc packing; the engine clamps its
+    /// thread count accordingly when spilling.
+    pub(crate) fn new(workers: usize, lru_budget_bytes: usize) -> io::Result<Self> {
         assert!(workers <= 32, "spill supports at most 32 workers");
         static STORE_SEQ: AtomicUsize = AtomicUsize::new(0);
         let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -371,17 +490,21 @@ impl SpillStore {
                 }),
             });
         }
-        let locs = (0..max_states).map(|_| AtomicU64::new(0)).collect();
         let lru = (0..LRU_SHARDS)
             .map(|_| Mutex::new(LruShard::default()))
             .collect();
         Ok(SpillStore {
             files,
-            locs,
+            locs: Segments::new(),
             lru,
             lru_budget_per_shard: (lru_budget_bytes / LRU_SHARDS).max(1 << 16),
             counters: SpillCounters::default(),
         })
+    }
+
+    /// Bytes allocated for the per-id location cells.
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        self.locs.reserved_bytes()
     }
 
     fn shard(&self, id: u32) -> &Mutex<LruShard> {
@@ -432,7 +555,7 @@ impl SpillStore {
             | (code.len() as u64) << LOC_LEN_SHIFT
             | worker as u64;
         // Ordered before the table's meta Release by ORD-DEDUP-META-002.
-        self.locs[id as usize].store(loc, Ordering::Release);
+        self.locs.get(id as usize).store(loc, Ordering::Release);
     }
 
     fn flush_locked(&self, worker: usize, w: &mut SpillWriter) {
@@ -458,7 +581,7 @@ impl SpillStore {
         if let Some(cached) = self.shard(id).lock().unwrap().codes.get(&id) {
             return Some(&**cached == code);
         }
-        let loc = self.locs[id as usize].load(Ordering::Acquire);
+        let loc = self.locs.get(id as usize).load(Ordering::Acquire);
         debug_assert!(loc & LOC_PUBLISHED != 0, "matches() before publish()");
         let offset = (loc >> LOC_OFFSET_SHIFT) & ((1 << 40) - 1);
         let len = (loc >> LOC_LEN_SHIFT & LOC_LEN_MASK) as usize;
@@ -486,7 +609,7 @@ impl SpillStore {
         if let Some(cached) = self.shard(id).lock().unwrap().codes.get(&id) {
             return cached.clone();
         }
-        let loc = self.locs[id as usize].load(Ordering::Acquire);
+        let loc = self.locs.get(id as usize).load(Ordering::Acquire);
         assert!(loc & LOC_PUBLISHED != 0);
         let offset = (loc >> LOC_OFFSET_SHIFT) & ((1 << 40) - 1);
         let len = (loc >> LOC_LEN_SHIFT & LOC_LEN_MASK) as usize;
@@ -539,14 +662,24 @@ mod tests {
         false
     }
 
+    /// One intern through a fresh shared guard.
+    fn intern(
+        table: &FpTable,
+        fp: Fp128,
+        is_same: impl FnMut(u32) -> bool,
+        publish: impl FnMut(u32),
+    ) -> Probe {
+        table.reader().intern(fp, is_same, publish, no_abort)
+    }
+
     #[test]
     fn intern_assigns_dense_ids_and_finds_duplicates() {
-        let table = FpTable::new(1000);
+        let table = FpTable::new(1000, 1);
         let codes: Vec<Vec<u8>> = (0..100u32).map(|i| i.to_le_bytes().to_vec()).collect();
         let mut ids = Vec::new();
         for code in &codes {
             let fp = fp128(code);
-            match table.intern(fp, |_| true, |id| ids.push(id), no_abort) {
+            match intern(&table, fp, |_| true, |id| ids.push(id)) {
                 Probe::Fresh(id) => assert_eq!(id, *ids.last().unwrap()),
                 other => panic!("expected fresh, got {other:?}"),
             }
@@ -558,7 +691,7 @@ mod tests {
         assert_eq!(*sorted.last().unwrap(), 99, "ids must be dense");
         for (i, code) in codes.iter().enumerate() {
             let fp = fp128(code);
-            match table.intern(fp, |id| id == ids[i], |_| panic!("no publish"), no_abort) {
+            match intern(&table, fp, |id| id == ids[i], |_| panic!("no publish")) {
                 Probe::Known(id) => assert_eq!(id, ids[i]),
                 other => panic!("expected known, got {other:?}"),
             }
@@ -570,71 +703,104 @@ mod tests {
     fn forced_fingerprint_collisions_probe_to_distinct_slots() {
         // Same 128-bit fingerprint, genuinely different states: is_same
         // disambiguates and each gets its own id.
-        let table = FpTable::new(100);
+        let table = FpTable::new(100, 1);
         let fp = Fp128 { lo: 42, hi: 7 };
-        let a = match table.intern(fp, |_| false, |_| {}, no_abort) {
+        let a = match intern(&table, fp, |_| false, |_| {}) {
             Probe::Fresh(id) => id,
             other => panic!("{other:?}"),
         };
-        let b = match table.intern(fp, |id| id == u32::MAX, |_| {}, no_abort) {
+        let b = match intern(&table, fp, |id| id == u32::MAX, |_| {}) {
             Probe::Fresh(id) => id,
             other => panic!("{other:?}"),
         };
         assert_ne!(a, b);
         // Each is findable by its own identity.
-        assert_eq!(
-            table.intern(fp, |id| id == a, |_| {}, no_abort),
-            Probe::Known(a)
-        );
-        assert_eq!(
-            table.intern(fp, |id| id == b, |_| {}, no_abort),
-            Probe::Known(b)
-        );
+        assert_eq!(intern(&table, fp, |id| id == a, |_| {}), Probe::Known(a));
+        assert_eq!(intern(&table, fp, |id| id == b, |_| {}), Probe::Known(b));
     }
 
     #[test]
     fn zero_low_half_is_storable() {
-        let table = FpTable::new(100);
+        let table = FpTable::new(100, 1);
         let fp = Fp128 { lo: 0, hi: 99 };
-        assert_eq!(
-            table.intern(fp, |_| true, |_| {}, no_abort),
-            Probe::Fresh(0)
-        );
-        assert_eq!(
-            table.intern(fp, |_| true, |_| {}, no_abort),
-            Probe::Known(0)
-        );
+        assert_eq!(intern(&table, fp, |_| true, |_| {}), Probe::Fresh(0));
+        assert_eq!(intern(&table, fp, |_| true, |_| {}), Probe::Known(0));
     }
 
     #[test]
     fn limit_is_enforced_and_published() {
-        let table = FpTable::new(3);
         // MIN_SLOTS floors the table, but the limit still honours max_states.
-        assert_eq!(table.limit(), 3);
+        let table = FpTable::new(3, 1);
         for i in 0..3u32 {
             let fp = fp128(&i.to_le_bytes());
             assert!(matches!(
-                table.intern(fp, |_| true, |_| {}, no_abort),
+                intern(&table, fp, |_| true, |_| {}),
                 Probe::Fresh(_)
             ));
         }
         let fp = fp128(b"one too many");
-        assert_eq!(table.intern(fp, |_| true, |_| {}, no_abort), Probe::Limit);
+        assert_eq!(intern(&table, fp, |_| true, |_| {}), Probe::Limit);
         // The sentinel is published: re-probing the same fingerprint
         // reports Limit instead of spinning.
-        assert_eq!(table.intern(fp, |_| true, |_| {}, no_abort), Probe::Limit);
+        assert_eq!(intern(&table, fp, |_| true, |_| {}), Probe::Limit);
         assert_eq!(table.len(), 3);
     }
 
+    /// The table starts small whatever the budget, doubles as it fills,
+    /// and every id (and the limit sentinel) survives each migration.
+    #[test]
+    fn growth_keeps_ids_and_follows_use() {
+        let table = FpTable::new(100_000_000, 1);
+        let first = table.reserved_bytes();
+        assert_eq!(first, MIN_SLOTS * std::mem::size_of::<Slot>());
+        let keys = 8 * MIN_SLOTS;
+        let mut reader = table.reader();
+        for i in 0..keys as u64 {
+            let fp = fp128(&i.to_le_bytes());
+            assert_eq!(
+                reader.intern(fp, |_| true, |_| {}, no_abort),
+                Probe::Fresh(i as u32)
+            );
+        }
+        drop(reader);
+        // Four doublings put 8×MIN_SLOTS ids at ≤ 50% load.
+        assert_eq!(table.reserved_bytes(), 16 * first);
+        for i in 0..keys as u64 {
+            let fp = fp128(&i.to_le_bytes());
+            assert_eq!(
+                intern(&table, fp, |id| id == i as u32, |_| {}),
+                Probe::Known(i as u32),
+                "id of key {i} moved in a migration"
+            );
+        }
+        assert_eq!(table.len(), keys);
+
+        // At its final size the table stops growing and enforces the limit.
+        let small = FpTable::new(MIN_SLOTS, 1);
+        for i in 0..MIN_SLOTS as u64 {
+            let fp = fp128(&i.to_le_bytes());
+            assert!(matches!(
+                intern(&small, fp, |_| true, |_| {}),
+                Probe::Fresh(_)
+            ));
+        }
+        let over = fp128(b"over");
+        assert_eq!(intern(&small, over, |_| true, |_| {}), Probe::Limit);
+        assert_eq!(small.reserved_bytes(), 2 * first);
+        assert_eq!(intern(&small, over, |_| true, |_| {}), Probe::Limit);
+    }
+
     /// Seeded multi-threaded hammer: every thread interns the same key
-    /// universe in a seed-dependent order; exactly one Fresh claim per
+    /// universe in a seed-dependent order, growing the table from
+    /// `MIN_SLOTS` through several doublings; exactly one Fresh claim per
     /// key may win, and all threads must agree on the id each key got.
     #[test]
     fn concurrent_interns_agree_on_ids() {
         const THREADS: usize = 4;
-        const KEYS: usize = 256;
+        const KEYS: usize = 8 * MIN_SLOTS;
         for seed in 0u64..8 {
-            let table = FpTable::new(KEYS * 2);
+            let table = FpTable::new(KEYS * 2, THREADS);
+            assert_eq!(table.reserved_bytes(), MIN_SLOTS * 16);
             let barrier = Barrier::new(THREADS);
             let fps: Vec<Fp128> = (0..KEYS)
                 .map(|i| fp128(&(i as u64 ^ seed << 32).to_le_bytes()))
@@ -652,17 +818,22 @@ mod tests {
                             // threads collide on different keys each run.
                             let stride = (seed as usize * 2 + t * 4 + 1) | 1;
                             let mut k = (t * 31 + seed as usize * 17) % KEYS;
+                            // A guard held across several interns, as a
+                            // worker holds one per work item.
+                            let mut reader = table.reader();
                             for step in 0..KEYS {
                                 let i = k;
                                 k = (k + stride) % KEYS;
                                 let fp = fps[i];
-                                let probe = table.intern(fp, |_| true, |_| {}, no_abort);
+                                let probe = reader.intern(fp, |_| true, |_| {}, no_abort);
                                 match probe {
                                     Probe::Fresh(id) | Probe::Known(id) => ids[i] = id,
                                     other => panic!("step {step}: {other:?}"),
                                 }
                                 if step % 16 == t {
+                                    drop(reader);
                                     std::thread::yield_now();
+                                    reader = table.reader();
                                 }
                             }
                             ids
@@ -681,98 +852,89 @@ mod tests {
             let expect: Vec<u32> = (0..KEYS as u32).collect();
             assert_eq!(all, expect, "seed {seed}: ids not dense/unique");
             assert_eq!(table.len(), KEYS);
+            assert_eq!(table.reserved_bytes(), 16 * MIN_SLOTS * 16, "seed {seed}");
         }
     }
 
-    /// Concurrent claimants racing over the limit must all observe
-    /// Limit/Fresh consistently and never hang on an unpublished slot.
+    /// Concurrent claimants racing over the limit — while the table is
+    /// still growing from `MIN_SLOTS` — must all observe Limit/Fresh
+    /// consistently, claim exactly `limit` states and never hang on an
+    /// unpublished slot.
     #[test]
     fn concurrent_limit_race_terminates() {
         const THREADS: usize = 4;
-        let table = FpTable::new(8);
-        let aborted = AtomicBool::new(false);
-        let fresh = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let table = &table;
-                let aborted = &aborted;
-                let fresh = &fresh;
-                s.spawn(move || {
-                    for i in 0..64u64 {
-                        let fp = fp128(&(i * THREADS as u64 + t as u64).to_le_bytes());
-                        match table.intern(fp, |_| true, |_| {}, || aborted.load(Ordering::Relaxed))
-                        {
-                            Probe::Fresh(_) => {
-                                fresh.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Probe::Known(_) => {}
-                            Probe::Limit | Probe::Aborted => {
-                                aborted.store(true, Ordering::Relaxed);
-                                return;
+        const LIMIT: usize = 5 * MIN_SLOTS;
+        for limit in [8, LIMIT] {
+            let table = FpTable::new(limit, THREADS);
+            let aborted = AtomicBool::new(false);
+            let fresh = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let table = &table;
+                    let aborted = &aborted;
+                    let fresh = &fresh;
+                    s.spawn(move || {
+                        let mut reader = table.reader();
+                        for i in 0..2 * LIMIT as u64 {
+                            let fp = fp128(&(i * THREADS as u64 + t as u64).to_le_bytes());
+                            match reader.intern(
+                                fp,
+                                |_| true,
+                                |_| {},
+                                || aborted.load(Ordering::Relaxed),
+                            ) {
+                                Probe::Fresh(_) => {
+                                    fresh.fetch_add(1, Ordering::Relaxed);
+                                }
+                                Probe::Known(_) => {}
+                                Probe::Limit | Probe::Aborted => {
+                                    aborted.store(true, Ordering::Relaxed);
+                                    return;
+                                }
                             }
                         }
-                    }
-                });
-            }
-        });
-        assert!(
-            aborted.load(Ordering::Relaxed),
-            "limit should have been hit"
-        );
-        assert_eq!(
-            fresh.load(Ordering::Relaxed),
-            8,
-            "exactly limit states claimed"
-        );
+                    });
+                }
+            });
+            assert!(
+                aborted.load(Ordering::Relaxed),
+                "limit {limit} should have been hit"
+            );
+            assert_eq!(
+                fresh.load(Ordering::Relaxed),
+                limit,
+                "exactly limit states claimed"
+            );
+            assert_eq!(table.len(), limit);
+        }
     }
 
     #[test]
-    fn bloom_never_false_negative() {
-        let bloom = Bloom::new(10_000);
-        let fps: Vec<Fp128> = (0..5_000u64).map(|i| fp128(&i.to_le_bytes())).collect();
-        for fp in &fps {
-            bloom.insert(*fp);
-        }
-        for (i, fp) in fps.iter().enumerate() {
-            assert!(bloom.query(*fp), "false negative at {i}");
-        }
-        // False positives exist but must be rare at design load.
-        let false_pos = (0..10_000u64)
-            .map(|i| fp128(&(1 << 40 | i).to_le_bytes()))
-            .filter(|fp| bloom.query(*fp))
-            .count();
-        assert!(
-            false_pos < 1_500,
-            "false positive rate too high: {false_pos}/10000"
-        );
-    }
+    fn segments_allocate_doubling_blocks_on_first_use() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(FIRST_SEGMENT - 1), (0, FIRST_SEGMENT - 1));
+        assert_eq!(locate(FIRST_SEGMENT), (1, 0));
+        assert_eq!(locate(3 * FIRST_SEGMENT - 1), (1, 2 * FIRST_SEGMENT - 1));
+        assert_eq!(locate(3 * FIRST_SEGMENT), (2, 0));
+        assert_eq!(locate(u32::MAX as usize).0, SEGMENT_COUNT - 1);
 
-    #[test]
-    fn bloom_never_false_negative_across_threads() {
-        let bloom = Bloom::new(4_096);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let bloom = &bloom;
-                s.spawn(move || {
-                    for i in 0..1_000u64 {
-                        let fp = fp128(&(t << 32 | i).to_le_bytes());
-                        bloom.insert(fp);
-                        // Own inserts are immediately visible to self.
-                        assert!(bloom.query(fp));
-                    }
-                });
-            }
-        });
-        for t in 0..4u64 {
-            for i in 0..1_000u64 {
-                assert!(bloom.query(fp128(&(t << 32 | i).to_le_bytes())));
-            }
-        }
+        let cells: Segments<AtomicU64> = Segments::new();
+        assert_eq!(cells.reserved_bytes(), 0);
+        cells.get(5).store(5, Ordering::Relaxed);
+        assert_eq!(cells.reserved_bytes(), FIRST_SEGMENT * 8);
+        cells.get(FIRST_SEGMENT).store(7, Ordering::Relaxed);
+        assert_eq!(cells.reserved_bytes(), 3 * FIRST_SEGMENT * 8);
+        let prefix: Vec<u64> = cells
+            .into_prefix(FIRST_SEGMENT + 1)
+            .map(AtomicU64::into_inner)
+            .collect();
+        assert_eq!(prefix.len(), FIRST_SEGMENT + 1);
+        assert_eq!((prefix[5], prefix[FIRST_SEGMENT]), (5, 7));
     }
 
     #[test]
     fn spill_round_trip_is_identity() {
-        let spill = SpillStore::new(2, 10_000, 1 << 20).unwrap();
+        let spill = SpillStore::new(2, 1 << 20).unwrap();
         // Codes long enough to straddle flush chunks, varied lengths.
         let codes: Vec<Box<[u8]>> = (0..2_000u32)
             .map(|i| {
@@ -800,7 +962,7 @@ mod tests {
     #[test]
     fn spill_matches_verifies_through_lru_and_disk() {
         // Tiny LRU budget forces disk verification for old ids.
-        let spill = SpillStore::new(1, 10_000, 1).unwrap();
+        let spill = SpillStore::new(1, 1).unwrap();
         // 4000 × 600-byte codes ≈ 2.4 MiB: well past the 1 MiB flush
         // chunk, so most ids are covered by the flushed watermark while
         // the tail stays in the write buffer (unverifiable by design).

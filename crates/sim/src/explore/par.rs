@@ -1,29 +1,32 @@
-//! The breadth-parallel exploration engine.
+//! The exploration engine.
 //!
-//! `run_parallel` explores the same reachable graph as the sequential
-//! engine, split across worker threads:
+//! `run_impl` serves every [`Explorer`](super::Explorer) run — graph or
+//! stats mode, one worker or many — with one worker loop:
 //!
-//! * **Lock-free dedup table** — state identity lives in a fixed-capacity
+//! * **Lock-free dedup table** — state identity lives in a growable
 //!   open-addressing fingerprint table ([`FpTable`]): one CAS claims a
 //!   slot, one release store publishes the id, and readers acquire
 //!   through the same word before touching the canonical code (the
 //!   Arc-style publication idiom; orderings are certified in
 //!   `explore/dedup.rs` and `anonreg_sanitizer::explorer_site_notes`).
-//!   A blocked atomic bloom filter ([`Bloom`]) is fed before every claim
-//!   and screens the sequential engine's probes; here it doubles as a
-//!   dedup statistic. Canonical codes live in an id-indexed `OnceLock`
-//!   arena, or — with [`ExploreConfig::spill`] — in per-worker temp
-//!   files behind a sharded LRU tier ([`SpillStore`]), so code bytes no
-//!   longer bound the state count by RAM.
+//!   A worker holds a shared guard on the table while it interns one
+//!   item's successors; the claimant that finds the table half full
+//!   migrates it to twice the size. Canonical codes live in an
+//!   id-indexed arena of doubling [`Segments`], or — with
+//!   [`ExploreConfig::spill`] — in per-worker temp files behind a
+//!   sharded LRU tier ([`SpillStore`]), so code bytes no longer bound
+//!   the state count by RAM. Nothing is sized from `max_states`, which
+//!   only caps the id count.
 //! * **States travel with the work items** — a discovered state's
 //!   `Simulation` is moved into its frontier entry and, in graph mode,
-//!   into the striped state store only after its expansion, eliminating
-//!   the store-then-reclone round trip per state the mutex-sharded
-//!   design paid.
+//!   into its id's node cell together with its edges only after its
+//!   expansion.
 //! * **Per-worker frontier deques with work stealing** — each worker pops
 //!   depth-first from the back of its own deque (keeps the hot end of the
 //!   frontier in cache) and steals breadth-first from the front of a
-//!   neighbour's when it runs dry.
+//!   neighbour's when it runs dry. Worker 0 runs on the calling thread;
+//!   every worker's phase timer also charges set-up and graph assembly
+//!   to [`Phase::Setup`], so a profile covers the whole run.
 //!
 //! Termination uses a `pending` counter of discovered-but-unexpanded
 //! states: a child is counted *before* it is enqueued and its parent is
@@ -33,39 +36,37 @@
 //! (`pending == 0` with an empty local scan really means the frontier is
 //! globally drained; see `ORD-EXP-PENDING-005` for why Relaxed suffices).
 //!
-//! State ids are assigned in race order, so two parallel runs (or a
-//! parallel and a sequential run) number states differently. The *graph*
-//! is identical up to that renumbering — the property tests in
-//! `crates/core/tests/parallel_modelcheck.rs` check graph isomorphism
-//! against the sequential engine family by family, and
-//! `por_modelcheck.rs` does the same for the partial-order-reduced
-//! graphs. Under a symmetry mode the stored representative of an orbit
-//! is the first *concrete* state to reach the dedup table, so which
-//! member represents an orbit (and hence edge event labels) is racy, but
-//! the orbit set — state and edge counts, and every verdict — is
-//! deterministic.
+//! With one worker the deque is a plain depth-first stack, successors
+//! are interned in expansion order, and state ids are therefore
+//! *canonical*: two runs number the states identically. With more
+//! workers ids are assigned in race order, so runs number states
+//! differently; the *graph* is identical up to that renumbering — the
+//! parity suites in `crates/core/tests` check it against an independent
+//! reference explorer family by family, with and without partial-order
+//! reduction. Under a symmetry mode the stored representative of an
+//! orbit is the first *concrete* state to reach the dedup table, so which
+//! member represents an orbit (and hence edge event labels) is racy
+//! across several workers, but the orbit set — state and edge counts,
+//! and every verdict — is deterministic.
 
 use std::collections::VecDeque;
 use std::hash::Hash;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use anonreg_model::fingerprint::{fp128, Fp128};
 use anonreg_model::{Machine, SymmetryMode};
-use anonreg_obs::{Metric, Phase, Probe, Profiler, Span};
+use anonreg_obs::{Metric, Phase, PhaseTimer, Probe, Profiler, Span};
 
-use super::dedup::{Bloom, FpTable, Probe as TableProbe, SpillStore};
+use super::dedup::{FpTable, Probe as TableProbe, Reader, Segments, SpillStore};
 use super::{
     expand_into, record_timer, report_symmetry, Edge, ExploreConfig, ExploreError, ExploreStats,
     FlushedCounters, PorTally, StateGraph, Successor, GAUGE_SAMPLE_EVERY,
 };
 use crate::canon::StateEncoder;
 use crate::Simulation;
-
-/// Number of state-store stripes (graph mode only; a state's stripe is
-/// chosen by id).
-const STRIPES: usize = 64;
 
 /// How many consecutive empty steal sweeps before an idle worker sleeps
 /// instead of spinning. Keeps idle workers cheap when the frontier is
@@ -83,71 +84,41 @@ const SPILL_LRU_BUDGET: usize = 64 << 20;
 /// count — is bit-identical to the unbatched loop.
 const FP_BATCH: usize = 8;
 
+/// Discovery parent of a state: `(parent id, moving process, was a
+/// crash)`.
+type Parent = (u32, u32, bool);
+
 /// A discovered-but-unexpanded state. The frontier owns the only
-/// `Simulation` clone of the state until it is expanded (the old design
-/// stored it at discovery and recloned it at expansion — one full state
-/// copy per state, for nothing).
+/// `Simulation` clone of the state until it is expanded.
 struct WorkItem<M: Machine> {
     id: u32,
     depth: u32,
     sim: Simulation<M>,
+    /// Graph mode: where the state was discovered from.
+    parent: Option<Parent>,
 }
 
-/// The interned states, striped by `id % STRIPES`. Only graph mode keeps
-/// one; stats mode drops every expanded state on the floor.
-struct StateStore<M: Machine> {
-    stripes: Vec<Mutex<Vec<Option<Simulation<M>>>>>,
+/// Graph mode: one expanded state, filed under its id.
+struct Node<M: Machine> {
+    sim: Simulation<M>,
+    edges: Vec<Edge<M::Event>>,
+    parent: Option<Parent>,
 }
-
-impl<M: Machine + Eq> StateStore<M> {
-    fn new() -> Self {
-        StateStore {
-            stripes: (0..STRIPES).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    fn insert(&self, id: usize, state: Simulation<M>) {
-        let mut stripe = self.stripes[id % STRIPES].lock().expect("store lock");
-        let slot = id / STRIPES;
-        if stripe.len() <= slot {
-            stripe.resize_with(slot + 1, || None);
-        }
-        stripe[slot] = Some(state);
-    }
-
-    /// Drains the store into an id-ordered state vector.
-    fn into_states(self, total: usize) -> Vec<Simulation<M>> {
-        let mut stripes: Vec<Vec<Option<Simulation<M>>>> = self
-            .stripes
-            .into_iter()
-            .map(|m| m.into_inner().expect("store lock"))
-            .collect();
-        (0..total)
-            .map(|id| {
-                stripes[id % STRIPES][id / STRIPES]
-                    .take()
-                    .expect("every expanded id was stored")
-            })
-            .collect()
-    }
-}
-
-/// Canonical code arena: one write-once slot per interned id.
-type CodeArena = Box<[OnceLock<Box<[u8]>>]>;
 
 /// Everything the workers share.
 struct Ctx<M: Machine> {
     table: FpTable,
-    bloom: Bloom,
     /// Canonical code arena, indexed by id (`None` when spilling).
     /// A code is set before its id's table slot is published, so a
     /// reader that found the id always finds the code
     /// (ORD-DEDUP-META-002).
-    codes: Option<CodeArena>,
+    codes: Option<Segments<OnceLock<Box<[u8]>>>>,
     /// On-disk code store (`Some` exactly when `codes` is `None`).
     spill: Option<SpillStore>,
-    /// Graph mode: the authoritative `Simulation` per expanded id.
-    store: Option<StateStore<M>>,
+    /// Graph mode: every expanded state with its edges, by id. (A mutex
+    /// rather than a `OnceLock` per cell: machines are `Send`, not
+    /// `Sync`.)
+    nodes: Option<Segments<Mutex<Option<Node<M>>>>>,
     /// One frontier deque per worker.
     queues: Vec<Mutex<VecDeque<WorkItem<M>>>>,
     /// Discovered-but-unexpanded states (see module docs).
@@ -168,14 +139,12 @@ struct Ctx<M: Machine> {
 }
 
 impl<M: Machine + Eq + Hash> Ctx<M> {
-    /// Offers `code` (fingerprinted as `fp`) to the dedup table on
-    /// behalf of worker `me`. The bloom bits are set before any claim,
-    /// preserving the filter's never-false-negative contract.
-    fn intern(&self, me: usize, fp: Fp128, code: &[u8]) -> TableProbe {
-        self.bloom.insert(fp);
+    /// Offers `code` (fingerprinted as `fp`) to the dedup table through
+    /// `reader` on behalf of worker `me`.
+    fn intern(&self, reader: &mut Reader<'_>, me: usize, fp: Fp128, code: &[u8]) -> TableProbe {
         let should_abort = || self.aborted.load(Ordering::Relaxed);
         if let Some(spill) = &self.spill {
-            self.table.intern(
+            reader.intern(
                 fp,
                 |id| match spill.matches(id, code) {
                     Some(equal) => equal,
@@ -191,23 +160,32 @@ impl<M: Machine + Eq + Hash> Ctx<M> {
             )
         } else {
             let codes = self.codes.as_ref().expect("no-spill mode has a code arena");
-            self.table.intern(
+            reader.intern(
                 fp,
-                |id| codes[id as usize].get().is_some_and(|c| &**c == code),
+                |id| codes.get(id as usize).get().is_some_and(|c| **c == *code),
                 |id| {
-                    let stored = codes[id as usize].set(code.into());
+                    let stored = codes.get(id as usize).set(code.into());
                     debug_assert!(stored.is_ok(), "each id is published exactly once");
                 },
                 should_abort,
             )
         }
     }
+
+    /// Bytes allocated for the dedup table, the code arena or spill
+    /// locations, and the node store.
+    fn reserved_bytes(&self) -> usize {
+        self.table.reserved_bytes()
+            + self.codes.as_ref().map_or(0, Segments::reserved_bytes)
+            + self.spill.as_ref().map_or(0, SpillStore::reserved_bytes)
+            + self.nodes.as_ref().map_or(0, Segments::reserved_bytes)
+    }
 }
 
 /// Releases one unit of `pending` when an expansion ends — normally or
 /// by unwinding. A panicking worker additionally trips the abort flag so
 /// its siblings drain and exit instead of waiting for work that will
-/// never come; the main thread turns the panicked join into
+/// never come; the calling thread turns the panic into
 /// [`ExploreError::WorkerPanicked`].
 struct PendingGuard<'a> {
     pending: &'a AtomicUsize,
@@ -224,13 +202,9 @@ impl Drop for PendingGuard<'_> {
     }
 }
 
-/// What one worker brings home: its slice of the graph plus its tallies.
-struct WorkerOut<M: Machine> {
-    /// Outgoing edges of every state this worker expanded (graph mode).
-    edges: Vec<(u32, Vec<Edge<M::Event>>)>,
-    /// Discovery parents of every state this worker discovered:
-    /// `(child, parent, proc, crash)` (graph mode).
-    parents: Vec<(u32, u32, u32, bool)>,
+/// What one worker brings home: its tallies.
+#[derive(Default)]
+struct WorkerOut {
     /// States expanded.
     expanded: u64,
     /// States this worker discovered (interned as `Fresh`).
@@ -241,8 +215,6 @@ struct WorkerOut<M: Machine> {
     steals: u64,
     /// Transitions recorded.
     edge_total: u64,
-    /// Definite bloom misses among this worker's interns.
-    bloom_neg: u64,
     /// Ample-set reduction tallies.
     por: PorTally,
 }
@@ -264,14 +236,15 @@ fn pop_work<M: Machine>(me: usize, ctx: &Ctx<M>, steals: &mut u64) -> Option<Wor
     None
 }
 
-/// One worker's main loop.
+/// One worker's main loop. `timer` is the worker's phase timer, if a
+/// profiler is attached; the caller records it.
 fn worker<M, P>(
     me: usize,
     ctx: &Ctx<M>,
     probe: &P,
     encoder: &StateEncoder<M>,
-    profiler: Option<&Profiler>,
-) -> WorkerOut<M>
+    timer: &mut Option<PhaseTimer>,
+) -> WorkerOut
 where
     M: Machine + Eq + Hash,
     P: Probe,
@@ -279,21 +252,11 @@ where
     if P::ENABLED {
         probe.span_open(Span::ExploreWorker, me as u64);
     }
-    let mut timer = profiler.map(|p| p.timer(me as u64));
-    let mut out = WorkerOut {
-        edges: Vec::new(),
-        parents: Vec::new(),
-        expanded: 0,
-        fresh: 0,
-        dedup: 0,
-        steals: 0,
-        edge_total: 0,
-        bloom_neg: 0,
-        por: PorTally::default(),
-    };
-    // See `run_sequential`: the trivial-orbit fast path is plain
-    // encoding, so count it as skipped rather than timing it as
-    // canonicalization.
+    let mut out = WorkerOut::default();
+    // When the encoder detected a trivial symmetry group it already
+    // short-circuits to the plain identity path, so timing it as
+    // canonicalization would charge symmetry reduction for work it no
+    // longer does; count the skipped encodes instead.
     let track_canon =
         P::ENABLED && encoder.mode() != SymmetryMode::Off && !encoder.skips_trivial_orbits();
     let track_skipped = P::ENABLED && encoder.skips_trivial_orbits();
@@ -304,7 +267,7 @@ where
     } else {
         Phase::Dedup
     };
-    let collect_graph = ctx.store.is_some();
+    let collect_graph = ctx.nodes.is_some();
     let mut canon_nanos = 0u64;
     let mut symmetry_hits = 0u64;
     let mut canon_skipped = 0u64;
@@ -336,6 +299,7 @@ where
             id,
             depth,
             sim: state,
+            parent,
         } = item;
         // From here the popped item is accounted for even if a machine
         // panics mid-step.
@@ -349,6 +313,9 @@ where
         out.por
             .absorb(expand_into(&state, ctx.crashes, ctx.por, &mut successors));
         let mut edges_out = Vec::with_capacity(if collect_graph { successors.len() } else { 0 });
+        // One shared table guard per item: a migration waits at most for
+        // the items in flight.
+        let mut reader = ctx.table.reader();
         // Batched fingerprinting: encode + hash up to FP_BATCH successors
         // back-to-back, then drain them through the shared table in the
         // same order the unbatched loop would have used.
@@ -382,19 +349,13 @@ where
                 t.switch(intern_phase);
             }
             for (succ, code, fp) in batch.drain(..) {
-                if P::ENABLED && !ctx.bloom.query(fp) {
-                    out.bloom_neg += 1;
-                }
-                let target = match ctx.intern(me, fp, &code) {
+                let target = match ctx.intern(&mut reader, me, fp, &code) {
                     TableProbe::Known(t) => {
                         out.dedup += 1;
                         t
                     }
                     TableProbe::Fresh(t) => {
                         out.fresh += 1;
-                        if collect_graph {
-                            out.parents.push((t, id, succ.proc as u32, succ.crash));
-                        }
                         // Count the child before enqueueing it so `pending`
                         // never under-reports outstanding work.
                         ctx.pending.fetch_add(1, Ordering::Relaxed);
@@ -405,6 +366,7 @@ where
                                 id: t,
                                 depth: depth + 1,
                                 sim: succ.sim,
+                                parent: collect_graph.then_some((id, succ.proc as u32, succ.crash)),
                             });
                         ctx.max_depth
                             .fetch_max(u64::from(depth) + 1, Ordering::Relaxed);
@@ -426,9 +388,18 @@ where
                 }
             }
         }
-        if let Some(store) = &ctx.store {
-            out.edges.push((id, edges_out));
-            store.insert(id as usize, state);
+        drop(reader);
+        if let Some(nodes) = &ctx.nodes {
+            let previous = nodes
+                .get(id as usize)
+                .lock()
+                .expect("node lock")
+                .replace(Node {
+                    sim: state,
+                    edges: edges_out,
+                    parent,
+                });
+            debug_assert!(previous.is_none(), "each id is expanded exactly once");
         }
         out.expanded += 1;
         if P::ENABLED && out.expanded % GAUGE_SAMPLE_EVERY as u64 == 0 {
@@ -450,52 +421,24 @@ where
         probe.counter(Metric::ExploreSteals, me as u64, out.steals);
         report_symmetry(probe, me as u64, symmetry_hits, canon_nanos, canon_skipped);
         out.por.report(probe, me as u64);
-        if out.bloom_neg > 0 {
-            probe.counter(Metric::BloomNeg, me as u64, out.bloom_neg);
-        }
         probe.span_close(Span::ExploreWorker, me as u64, out.expanded);
     }
-    record_timer(profiler, timer);
+    // Until the joins: waiting for the siblings.
+    if let Some(t) = timer.as_mut() {
+        t.switch(Phase::Idle);
+    }
     out
 }
 
-/// Explores the reachable graph of `initial` with `threads` workers.
-pub(super) fn run_parallel<M, P>(
-    initial: Simulation<M>,
-    config: &ExploreConfig,
-    probe: &P,
-    threads: usize,
-    encoder: &StateEncoder<M>,
-    profiler: Option<&Profiler>,
-) -> Result<StateGraph<M>, ExploreError>
-where
-    M: Machine + Eq + Hash,
-    P: Probe,
-{
-    let (graph, _) = run_impl(initial, config, probe, threads, encoder, profiler, true)?;
-    Ok(graph.expect("graph mode materialises a graph"))
-}
-
-/// Count-only sibling of [`run_parallel`]: same exploration, no
-/// [`StateGraph`].
-pub(super) fn run_parallel_stats<M, P>(
-    initial: Simulation<M>,
-    config: &ExploreConfig,
-    probe: &P,
-    threads: usize,
-    encoder: &StateEncoder<M>,
-    profiler: Option<&Profiler>,
-) -> Result<ExploreStats, ExploreError>
-where
-    M: Machine + Eq + Hash,
-    P: Probe,
-{
-    let (_, stats) = run_impl(initial, config, probe, threads, encoder, profiler, false)?;
-    Ok(stats)
-}
-
-#[allow(clippy::too_many_lines)]
-fn run_impl<M, P>(
+/// Explores the reachable graph of `initial` with `threads` workers,
+/// materialising the [`StateGraph`] when `collect_graph` is set.
+///
+/// With a profiler attached, every worker's timer spans the whole run:
+/// it opens in [`Phase::Setup`] before the table is built (a spawned
+/// worker's stays there until its thread starts), and all return to it
+/// for graph assembly once the workers are joined, so `workers × wall`
+/// is attributed end to end.
+pub(super) fn run_impl<M, P>(
     initial: Simulation<M>,
     config: &ExploreConfig,
     probe: &P,
@@ -508,43 +451,57 @@ where
     M: Machine + Eq + Hash,
     P: Probe,
 {
-    let mut initial = initial;
-    initial.clear_trace();
-
     // The spill location packs a 5-bit worker index.
     let threads = if config.spill {
         threads.min(32)
     } else {
         threads
     };
+    let mut timers: Vec<Option<PhaseTimer>> = (0..threads)
+        .map(|i| {
+            profiler.map(|p| {
+                let mut timer = p.timer(i as u64);
+                timer.switch(Phase::Setup);
+                timer
+            })
+        })
+        .collect();
+    let result = run_timed(initial, config, probe, encoder, collect_graph, &mut timers);
+    for timer in timers {
+        record_timer(profiler, timer);
+    }
+    result
+}
+
+/// [`run_impl`] with one (optional) phase timer per worker.
+#[allow(clippy::too_many_lines)]
+fn run_timed<M, P>(
+    initial: Simulation<M>,
+    config: &ExploreConfig,
+    probe: &P,
+    encoder: &StateEncoder<M>,
+    collect_graph: bool,
+    timers: &mut [Option<PhaseTimer>],
+) -> Result<(Option<StateGraph<M>>, ExploreStats), ExploreError>
+where
+    M: Machine + Eq + Hash,
+    P: Probe,
+{
+    let threads = timers.len();
+    let mut initial = initial;
+    initial.clear_trace();
 
     if P::ENABLED {
         probe.span_open(Span::Explore, 0);
     }
 
-    let table = FpTable::new(config.max_states);
-    let arena_len = table.limit();
-    let spill = if config.spill {
-        Some(
-            SpillStore::new(threads, arena_len, SPILL_LRU_BUDGET)
-                .expect("spill temp files must be creatable"),
-        )
-    } else {
-        None
-    };
-    let codes = if config.spill {
-        None
-    } else {
-        let mut arena = Vec::with_capacity(arena_len);
-        arena.resize_with(arena_len, OnceLock::new);
-        Some(arena.into_boxed_slice())
-    };
     let ctx = Ctx {
-        bloom: Bloom::new(table.limit()),
-        table,
-        codes,
-        spill,
-        store: collect_graph.then(StateStore::new),
+        table: FpTable::new(config.max_states, threads),
+        codes: (!config.spill).then(Segments::new),
+        spill: config.spill.then(|| {
+            SpillStore::new(threads, SPILL_LRU_BUDGET).expect("spill temp files must be creatable")
+        }),
+        nodes: collect_graph.then(Segments::new),
         queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
         pending: AtomicUsize::new(0),
         aborted: AtomicBool::new(false),
@@ -555,14 +512,14 @@ where
 
     let (code, _) = encoder.encode(&initial);
     let fp = fp128(&code);
-    match ctx.intern(0, fp, &code) {
+    match ctx.intern(&mut ctx.table.reader(), 0, fp, &code) {
         TableProbe::Fresh(id) => debug_assert_eq!(id, 0, "first interned state is state 0"),
         TableProbe::Known(_) | TableProbe::Aborted => {
             unreachable!("the dedup table starts empty and nothing can abort yet")
         }
         TableProbe::Limit => {
             if P::ENABLED {
-                report_totals::<M, P>(probe, 0, 0, &[]);
+                report_totals(probe, 0, 0, &[]);
                 probe.span_close(Span::Explore, 0, 0);
             }
             return Err(ExploreError::StateLimitExceeded {
@@ -578,22 +535,28 @@ where
             id: 0,
             depth: 0,
             sim: initial,
+            parent: None,
         });
 
-    let joins: Vec<std::thread::Result<WorkerOut<M>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|i| {
-                let ctx = &ctx;
-                s.spawn(move || worker(i, ctx, probe, encoder, profiler))
-            })
+    // Worker 0 runs here, so a one-worker run spawns no thread.
+    let joins: Vec<std::thread::Result<WorkerOut>> = std::thread::scope(|s| {
+        let ctx = &ctx;
+        let (first, rest) = timers.split_first_mut().expect("at least one worker");
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .enumerate()
+            .map(|(i, timer)| s.spawn(move || worker(i + 1, ctx, probe, encoder, timer)))
             .collect();
-        handles
-            .into_iter()
-            .map(std::thread::ScopedJoinHandle::join)
+        let first = catch_unwind(AssertUnwindSafe(|| worker(0, ctx, probe, encoder, first)));
+        std::iter::once(first)
+            .chain(handles.into_iter().map(std::thread::ScopedJoinHandle::join))
             .collect()
     });
+    for timer in timers.iter_mut().flatten() {
+        timer.switch(Phase::Setup);
+    }
     let panicked = joins.iter().any(std::thread::Result::is_err);
-    let outs: Vec<WorkerOut<M>> = joins.into_iter().filter_map(Result::ok).collect();
+    let outs: Vec<WorkerOut> = joins.into_iter().filter_map(Result::ok).collect();
 
     let total = ctx.table.len();
     let edge_total: u64 = outs.iter().map(|o| o.edge_total).sum();
@@ -629,6 +592,7 @@ where
             0,
             ctx.max_depth.load(Ordering::Relaxed),
         );
+        probe.gauge(Metric::ExploreReservedBytes, 0, ctx.reserved_bytes() as u64);
         probe.span_close(Span::Explore, 0, total as u64);
     }
 
@@ -640,24 +604,25 @@ where
             limit: config.max_states,
         });
     }
-
-    if !collect_graph {
+    let Some(nodes) = ctx.nodes else {
         return Ok((None, stats));
-    }
+    };
 
-    let mut edges: Vec<Vec<Edge<M::Event>>> = Vec::new();
-    edges.resize_with(total, Vec::new);
-    let mut parents: Vec<Option<(usize, usize, bool)>> = vec![None; total];
-    for out in outs {
-        for (id, e) in out.edges {
-            edges[id as usize] = e;
-        }
-        for (child, parent, proc, crash) in out.parents {
-            parents[child as usize] = Some((parent as usize, proc as usize, crash));
-        }
+    let mut states = Vec::with_capacity(total);
+    let mut edges = Vec::with_capacity(total);
+    let mut parents = Vec::with_capacity(total);
+    for node in nodes.into_prefix(total) {
+        let node = node
+            .into_inner()
+            .expect("node lock")
+            .expect("every interned id was expanded");
+        states.push(node.sim);
+        edges.push(node.edges);
+        parents.push(
+            node.parent
+                .map(|(parent, proc, crash)| (parent as usize, proc as usize, crash)),
+        );
     }
-    let states = ctx.store.expect("graph mode").into_states(total);
-
     Ok((
         Some(StateGraph {
             states,
@@ -669,11 +634,11 @@ where
 }
 
 /// Emits the counter remainders the workers did not flush themselves:
-/// the initial interned state (discovered by `run_impl`, not by any
+/// the initial interned state (discovered by `run_timed`, not by any
 /// worker) and, on an aborted run, ids assigned past the flushed counts.
 /// Dedup hits are fully flushed per worker (keyed by worker index), so
 /// only states and edges can have a remainder.
-fn report_totals<M: Machine, P: Probe>(probe: &P, states: u64, edges: u64, outs: &[WorkerOut<M>]) {
+fn report_totals<P: Probe>(probe: &P, states: u64, edges: u64, outs: &[WorkerOut]) {
     let flushed_states: u64 = outs.iter().map(|o| o.fresh).sum();
     let flushed_edges: u64 = outs.iter().map(|o| o.edge_total).sum();
     probe.counter(

@@ -17,7 +17,7 @@
 //! * [`explore`] — exhaustive explicit-state model checking behind the
 //!   [`explore::Explorer`] builder, with safety predicates, SCC-based
 //!   fair-livelock detection (how experiment E1 proves the odd/even
-//!   dichotomy of Theorem 3.1), and an optional breadth-parallel engine
+//!   dichotomy of Theorem 3.1), exploring on one worker thread or many
 //!   for large state spaces.
 //! * [`obstruction`] — the obstruction-freedom checker: from every reachable
 //!   state, every process running alone must terminate within a bound.
@@ -65,6 +65,15 @@
 
 mod canon;
 mod simulation;
+
+// The engine unit tests check the explorer against the same independent
+// reference explorer as the `anonreg` parity suites; that file names
+// this crate by its package name.
+#[cfg(test)]
+extern crate self as anonreg_sim;
+#[cfg(test)]
+#[path = "../../core/tests/common/reference.rs"]
+mod reference;
 
 pub mod explore;
 pub mod obstruction;
