@@ -1,6 +1,6 @@
 //! The certificate container: writer, streaming replay verifier, errors.
 //!
-//! # On-disk layout (version 2, all integers little-endian)
+//! # On-disk layout (version 3, all integers little-endian)
 //!
 //! ```text
 //! header   96 bytes  magic "ANRGCERT" | version u32 | verdict_count u32
@@ -26,6 +26,12 @@
 //! one streaming pass; the verdict fingerprint additionally folds each
 //! record's index in, because verdict *order* is meaningful (it is the
 //! registration order the explorer reports back).
+//!
+//! Version 3 differs from version 2 only in what the header's
+//! fingerprints mean: `fp128` became a word-at-a-time hash (version 2
+//! used byte-serial FNV-1a 128). The sections are byte-identical, but a
+//! version-2 header cannot be re-derived, so it is refused as
+//! [`CertError::Version`] and `run_cached` recomputes it cold.
 
 use std::fmt;
 use std::fs::File;
@@ -38,7 +44,7 @@ use anonreg_model::fingerprint::{fp128, Fp128};
 /// File magic: an anonreg reachability certificate.
 const MAGIC: [u8; 8] = *b"ANRGCERT";
 /// Container version this crate reads and writes.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 96;
 /// Sanity cap on a single state code's length (codes are flat register +
@@ -202,7 +208,7 @@ fn in_section(e: CertError, context: impl FnOnce() -> String) -> CertError {
 }
 
 /// Order-independent section fingerprint: a wrapping sum of per-item
-/// 128-bit FNV fingerprints, halves accumulated separately.
+/// [`fp128`] fingerprints, halves accumulated separately.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct FpSum {
     lo: u64,
@@ -800,6 +806,20 @@ mod tests {
             replay(&path, key(7), b"alpha").unwrap_err(),
             CertError::Version { found: 9 }
         );
+    }
+
+    #[test]
+    fn version_2_header_is_refused() {
+        // Version 2 fingerprinted its sections with FNV-1a 128; its
+        // header cannot re-derive under the current `fp128`.
+        let path = tmp_path("version2");
+        write_sample(&path, key(7));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let err = replay(&path, key(7), b"alpha").unwrap_err();
+        assert_eq!(err, CertError::Version { found: 2 });
+        assert!(err.to_string().contains("reads version 3"), "{err}");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   failure model, symmetry mode and the registered verdict names. A
 //!   certificate whose embedded key no longer matches is refused as
 //!   [`cert::CertError::Stale`] — the cache can serve wrong-but-fast
-//!   answers only by breaking a 128-bit FNV collision.
+//!   answers only by breaking a 128-bit `fp128` collision.
 //!
 //! What replay does **not** re-establish is that the recorded set is the
 //! true reachable set of the machines — that is exactly the part pinned by

@@ -126,6 +126,15 @@ impl ByteSink {
         Self::default()
     }
 
+    /// A sink that appends to `buffer`, keeping its contents and its
+    /// capacity. Encoding many values through one reused buffer (take
+    /// it back with [`ByteSink::into_bytes`]) allocates only when the
+    /// buffer has to grow.
+    #[must_use]
+    pub fn appending(buffer: Vec<u8>) -> Self {
+        ByteSink { bytes: buffer }
+    }
+
     /// The bytes encoded so far.
     #[must_use]
     pub fn bytes(&self) -> &[u8] {

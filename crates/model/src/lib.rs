@@ -22,9 +22,9 @@
 //! * [`trace`] — recorded runs, used by specification checkers.
 //! * [`PidMap`] — structural renaming of identifiers, used by the symmetry
 //!   arguments behind the paper's lower bounds (Theorem 3.4).
-//! * [`fingerprint`] — deterministic 64-bit state hashing, shared by the
-//!   model checker's interning tables so parallel workers agree on state
-//!   identity.
+//! * [`fingerprint`] — deterministic 64- and 128-bit state hashing,
+//!   shared by the model checker's interning tables so parallel workers
+//!   agree on state identity.
 //! * [`canon`] — orbit canonicalization: byte-stable state encodings,
 //!   first-occurrence identifier renumbering and the view-compatible
 //!   permutation group, used by the explorer's symmetry reduction.

@@ -7,8 +7,8 @@
 //! failure model and the symmetry mode all determine the reachable set
 //! and every verdict drawn from it. [`StructuralHasher`] folds those
 //! inputs into one [`Fp128`] key that changes **iff the verified
-//! semantics can change**: it reuses the deterministic FNV-1a 128
-//! infrastructure from [`fingerprint`](crate::fingerprint) over
+//! semantics can change**: it reuses the deterministic 128-bit
+//! [`fp128`] from [`fingerprint`](crate::fingerprint) over
 //! byte-stable [`ByteSink`] encodings, so two processes (or two
 //! checkouts) hashing the same problem always agree.
 //!

@@ -49,9 +49,10 @@ use crate::Simulation;
 /// signature; beyond it the enumeration soundly under-approximates.
 pub(crate) const CANDIDATE_CAP: usize = 1024;
 
-/// The encoder entry point: produces a state code and whether
-/// canonicalization *moved* the configuration off its literal encoding.
-type EncodeFn<M> = fn(&Simulation<M>, &[ViewSymmetry], SymmetryMode) -> (Box<[u8]>, bool);
+/// The encoder entry point: appends a state code to the buffer and
+/// reports whether canonicalization *moved* the configuration off its
+/// literal encoding.
+type EncodeFn<M> = fn(&Simulation<M>, &[ViewSymmetry], SymmetryMode, &mut Vec<u8>) -> bool;
 
 /// A state-code encoder fixed at [`Explorer`](crate::explore::Explorer)
 /// build time.
@@ -92,10 +93,12 @@ impl<M: Machine + Eq + Hash> StateEncoder<M> {
         self.skipped
     }
 
-    /// Encodes `sim`, returning its state code and whether canonicalization
-    /// *moved* the configuration (a non-identity image won).
-    pub(crate) fn encode(&self, sim: &Simulation<M>) -> (Box<[u8]>, bool) {
-        (self.encode)(sim, &self.syms, self.mode)
+    /// Appends the state code of `sim` to `out` and returns whether
+    /// canonicalization *moved* the configuration (a non-identity image
+    /// won). With symmetry off this allocates only when `out` has to
+    /// grow, so a reused buffer encodes successors allocation-free.
+    pub(crate) fn encode_into(&self, sim: &Simulation<M>, out: &mut Vec<u8>) -> bool {
+        (self.encode)(sim, &self.syms, self.mode, out)
     }
 }
 
@@ -218,20 +221,27 @@ fn plain_entry<M: Machine + Eq + Hash>(
     sim: &Simulation<M>,
     _syms: &[ViewSymmetry],
     _mode: SymmetryMode,
-) -> (Box<[u8]>, bool) {
-    (encode_plain(sim).into_boxed_slice(), false)
+    out: &mut Vec<u8>,
+) -> bool {
+    let mut sink = ByteSink::appending(std::mem::take(out));
+    encode_plain_into(sim, &mut sink);
+    *out = sink.into_bytes();
+    false
 }
 
 fn symmetric_entry<M>(
     sim: &Simulation<M>,
     syms: &[ViewSymmetry],
     mode: SymmetryMode,
-) -> (Box<[u8]>, bool)
+    out: &mut Vec<u8>,
+) -> bool
 where
     M: Machine + Eq + Hash + PidMap,
     M::Value: PidMap,
 {
-    canonical_code(sim, syms, mode)
+    let (code, moved) = canonical_code(sim, syms, mode);
+    out.extend_from_slice(&code);
+    moved
 }
 
 /// The public entry point behind [`Simulation::canonical_fingerprint`]:
@@ -247,7 +257,9 @@ where
             let views: Vec<View> = (0..sim.process_count())
                 .map(|i| sim.view(i).clone())
                 .collect();
-            canonical_code(sim, &view_symmetries(&views), mode).0
+            canonical_code(sim, &view_symmetries(&views), mode)
+                .0
+                .into_boxed_slice()
         }
     }
 }
@@ -257,21 +269,26 @@ where
 /// exploration, so they cannot distinguish states within one run (the
 /// explorer's structural hash therefore folds the views in separately).
 pub(crate) fn encode_plain<M: Machine + Eq + Hash>(sim: &Simulation<M>) -> Vec<u8> {
-    let n = sim.process_count();
     let mut sink = ByteSink::new();
+    encode_plain_into(sim, &mut sink);
+    sink.into_bytes()
+}
+
+/// [`encode_plain`] appended to `sink`.
+fn encode_plain_into<M: Machine + Eq + Hash>(sim: &Simulation<M>, sink: &mut ByteSink) {
+    let n = sim.process_count();
     sink.write_usize(sim.registers().len());
     for value in sim.registers() {
-        value.hash(&mut sink);
+        value.hash(sink);
     }
     sink.write_usize(n);
     for proc in 0..n {
         let slot = sim.slot(proc);
-        slot.machine.hash(&mut sink);
-        slot.pending_input.hash(&mut sink);
-        slot.poised.hash(&mut sink);
-        slot.halted.hash(&mut sink);
+        slot.machine.hash(sink);
+        slot.pending_input.hash(sink);
+        slot.poised.hash(sink);
+        slot.halted.hash(sink);
     }
-    sink.into_bytes()
 }
 
 /// The canonical code: minimum encoding over all admissible images.
@@ -279,7 +296,7 @@ fn canonical_code<M>(
     sim: &Simulation<M>,
     syms: &[ViewSymmetry],
     mode: SymmetryMode,
-) -> (Box<[u8]>, bool)
+) -> (Vec<u8>, bool)
 where
     M: Machine + Eq + Hash + PidMap,
     M::Value: PidMap,
@@ -341,7 +358,7 @@ where
     // produced at least one candidate; the fallback is unreachable.
     let best = best.unwrap_or(id_code.clone());
     let moved = best != id_code;
-    (best.into_boxed_slice(), moved)
+    (best, moved)
 }
 
 /// All orderings of `sources` consistent with ascending invariant

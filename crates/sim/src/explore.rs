@@ -482,7 +482,7 @@ where
     /// `ANONREG_CACHE_DIR` somewhere fresh).
     #[must_use]
     pub fn structural_hash(&self) -> Fp128 {
-        let mut hasher = StructuralHasher::new("anonreg-cert-v2")
+        let mut hasher = StructuralHasher::new("anonreg-cert-v3")
             .component("machine", std::any::type_name::<M>())
             .component("code_version", env!("CARGO_PKG_VERSION"))
             .raw("initial", &crate::canon::encode_plain(&self.initial));
@@ -530,6 +530,11 @@ where
             .map(|path| (path, self.structural_hash()));
         let verdicts = std::mem::take(&mut self.verdicts);
         let encoder = self.encoder;
+        let collect = if emit.is_some() {
+            par::Collect::GraphAndCodes
+        } else {
+            par::Collect::Graph
+        };
         let (graph, _) = par::run_impl(
             self.initial,
             &self.config,
@@ -537,15 +542,15 @@ where
             threads,
             &encoder,
             self.profiler.as_deref(),
-            true,
+            collect,
         )?;
-        let graph = graph.expect("graph mode materialises a graph");
+        let (graph, codes) = graph.expect("graph mode materialises a graph");
         if let Some((path, structural)) = emit {
-            cert::write_graph(&graph, &encoder, structural, &verdicts, &path).map_err(|e| {
-                ExploreError::Certificate {
+            cert::write_graph(&graph, codes, &encoder, structural, &verdicts, &path).map_err(
+                |e| ExploreError::Certificate {
                     message: e.to_string(),
-                }
-            })?;
+                },
+            )?;
         }
         Ok(graph)
     }
@@ -574,7 +579,8 @@ where
     ) -> Result<cert::ReplayReport, anonreg_cache::CertError> {
         let expected = self.structural_hash();
         self.initial.clear_trace();
-        let initial_code = self.encoder.encode(&self.initial).0;
+        let mut initial_code = Vec::new();
+        self.encoder.encode_into(&self.initial, &mut initial_code);
         let start = Instant::now();
         let summary = anonreg_cache::replay(path, expected, &initial_code)?;
         if !summary
@@ -624,7 +630,7 @@ where
             threads,
             &self.encoder,
             self.profiler.as_deref(),
-            false,
+            par::Collect::Stats,
         )?;
         Ok(stats)
     }
@@ -2044,21 +2050,32 @@ mod tests {
     }
 
     /// Every worker count must emit byte-identical certificates: the
-    /// canonical code sort erases discovery order.
+    /// canonical code sort erases discovery order. A spilled run has no
+    /// code arena and re-encodes its states; its certificate must match
+    /// too.
     #[test]
     fn certificates_match_across_worker_counts() {
         let dir = cert_dir("engines");
         let seq_path = dir.join("seq.cert");
         let par_path = dir.join("par.cert");
+        let spill_path = dir.join("spill.cert");
         Explorer::new(two_toys()).certify(&seq_path).run().unwrap();
         Explorer::new(two_toys())
             .parallelism(4)
             .certify(&par_path)
             .run()
             .unwrap();
+        Explorer::new(two_toys())
+            .spill(true)
+            .parallelism(2)
+            .certify(&spill_path)
+            .run()
+            .unwrap();
         let seq = std::fs::read(&seq_path).unwrap();
         let par = std::fs::read(&par_path).unwrap();
+        let spilled = std::fs::read(&spill_path).unwrap();
         assert_eq!(seq, par, "certificates diverge between worker counts");
+        assert_eq!(seq, spilled, "a spilled run's certificate diverges");
     }
 
     /// A certificate is refused once the problem changes: different
@@ -2325,6 +2342,36 @@ mod tests {
         // And the refreshed certificate serves the next run warm.
         let warm = run_cached(&store, || Explorer::new(two_toys())).unwrap();
         assert!(warm.warm);
+    }
+
+    /// A certificate the container refuses — here one stamped with the
+    /// retired version 2 — is recomputed cold, and the refreshed
+    /// certificate then serves the next run warm.
+    #[test]
+    fn run_cached_recomputes_a_refused_version_and_then_warm_hits() {
+        use crate::explore::cert::run_cached;
+        use anonreg_cache::CertError;
+        let store = anonreg_cache::CacheStore::new(cert_dir("oldversion")).unwrap();
+        let path = store.path(Explorer::new(two_toys()).structural_hash());
+        let cold = run_cached(&store, || Explorer::new(two_toys())).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        assert_eq!(
+            Explorer::new(two_toys())
+                .replay_certificate(&path)
+                .unwrap_err(),
+            CertError::Version { found: 2 }
+        );
+        let recomputed = run_cached(&store, || Explorer::new(two_toys())).unwrap();
+        assert!(!recomputed.warm, "a refused certificate was replayed");
+        assert_eq!(
+            (recomputed.states, recomputed.edges),
+            (cold.states, cold.edges)
+        );
+        let warm = run_cached(&store, || Explorer::new(two_toys())).unwrap();
+        assert!(warm.warm, "the recomputed certificate did not warm-hit");
+        assert_eq!((warm.states, warm.edges), (cold.states, cold.edges));
     }
 
     /// Warm replays emit the cache probe counters.

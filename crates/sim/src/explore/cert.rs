@@ -28,6 +28,7 @@ use anonreg_obs::Probe;
 
 use crate::canon::StateEncoder;
 
+use super::par::CodeArena;
 use super::{ExploreError, Explorer, StateGraph};
 
 /// A named verdict predicate evaluated on the finished graph.
@@ -67,12 +68,16 @@ pub struct CachedOutcome {
 
 /// Serializes `graph` into a certificate at `path`.
 ///
-/// States are re-encoded with the run's own encoder (so symmetry-reduced
-/// graphs record orbit-representative codes) and sorted; each state's
-/// rank in that order is its canonical index, making the output
+/// `codes` is the run's code arena: state `id`'s code as the explorer
+/// interned it, which is exactly its encoding under the run's own
+/// encoder (so symmetry-reduced graphs record orbit-representative
+/// codes). A run that spilled its codes to disk has no arena; its
+/// states are re-encoded with `encoder`. The codes are sorted; each
+/// state's rank in that order is its canonical index, making the output
 /// independent of the engine's discovery order.
 pub(crate) fn write_graph<M>(
     graph: &StateGraph<M>,
+    codes: Option<CodeArena>,
     encoder: &StateEncoder<M>,
     structural: Fp128,
     verdicts: &[(String, VerdictFn<M>)],
@@ -81,18 +86,30 @@ pub(crate) fn write_graph<M>(
 where
     M: Machine + Eq + Hash,
 {
-    let codes: Vec<Box<[u8]>> = graph.states.iter().map(|s| encoder.encode(s).0).collect();
-    let mut order: Vec<usize> = (0..codes.len()).collect();
-    order.sort_unstable_by(|&a, &b| codes[a].cmp(&codes[b]));
-    let mut rank = vec![0u64; codes.len()];
+    let codes = codes.unwrap_or_else(|| {
+        let arena = CodeArena::new();
+        for (id, state) in graph.states.iter().enumerate() {
+            let mut code = Vec::new();
+            encoder.encode_into(state, &mut code);
+            let _ = arena.get(id).set(code.into_boxed_slice());
+        }
+        arena
+    });
+    let code = |id: usize| -> &[u8] { codes.get(id).get().expect("every state has a code") };
+    let n = graph.states.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| code(a).cmp(code(b)));
+    let mut rank = vec![0u64; n];
     for (r, &id) in order.iter().enumerate() {
         rank[id] = r as u64;
     }
 
     let mut writer = CertWriter::create(path, structural)?;
     for &id in &order {
-        writer.push_code(&codes[id])?;
+        writer.push_code(code(id))?;
     }
+    // The verdict predicates below allocate; free the arena first.
+    drop(codes);
 
     let mut edges: Vec<(u64, u64, u64, bool)> = Vec::with_capacity(graph.edge_count());
     for (id, _) in graph.states() {

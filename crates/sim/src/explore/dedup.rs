@@ -4,7 +4,7 @@
 //!
 //! * [`FpTable`] — a growable open-addressing fingerprint table. Each
 //!   16-byte slot is a pair of atomics: `fp` holds the low half of the
-//!   state's 128-bit FNV-1a fingerprint (the probe key) and `meta` packs
+//!   state's 128-bit `fp128` fingerprint (the probe key) and `meta` packs
 //!   `(id + 1) << 32 | hi32` once the entry is published. Insertion
 //!   claims a slot with a single compare-and-swap and publishes the id
 //!   with a release store, exactly the Arc-style publication idiom: the

@@ -51,6 +51,7 @@
 
 use std::collections::VecDeque;
 use std::hash::Hash;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -81,12 +82,35 @@ const SPILL_LRU_BUDGET: usize = 64 << 20;
 /// worker's own cache lines instead of interleaving every fingerprint
 /// with a (possibly contended) table probe; the batch is drained through
 /// the table in expansion order, so intern order — and therefore every
-/// count — is bit-identical to the unbatched loop.
+/// count — is bit-identical to the unbatched loop. A batch's codes are
+/// ranges of one per-worker buffer that is reused for every batch, so
+/// encoding a successor allocates nothing; only a *fresh* state's code
+/// is copied, into the arena. Each code is fingerprinted with the
+/// word-at-a-time [`fp128`].
 const FP_BATCH: usize = 8;
 
 /// Discovery parent of a state: `(parent id, moving process, was a
 /// crash)`.
 type Parent = (u32, u32, bool);
+
+/// The canonical-code arena: every interned state's code, by id.
+pub(super) type CodeArena = Segments<OnceLock<Box<[u8]>>>;
+
+/// What a run hands back besides its counts.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum Collect {
+    /// Nothing: stats mode.
+    Stats,
+    /// The [`StateGraph`].
+    Graph,
+    /// The graph and the code arena (`None` when the run spilled its
+    /// codes), so a certificate can be written without re-encoding.
+    GraphAndCodes,
+}
+
+/// What a run returns: the graph and arena its [`Collect`] asked for, and
+/// its counts.
+type RunOutput<M> = (Option<(StateGraph<M>, Option<CodeArena>)>, ExploreStats);
 
 /// A discovered-but-unexpanded state. The frontier owns the only
 /// `Simulation` clone of the state until it is expanded.
@@ -112,7 +136,7 @@ struct Ctx<M: Machine> {
     /// A code is set before its id's table slot is published, so a
     /// reader that found the id always finds the code
     /// (ORD-DEDUP-META-002).
-    codes: Option<Segments<OnceLock<Box<[u8]>>>>,
+    codes: Option<CodeArena>,
     /// On-disk code store (`Some` exactly when `codes` is `None`).
     spill: Option<SpillStore>,
     /// Graph mode: every expanded state with its edges, by id. (A mutex
@@ -273,7 +297,9 @@ where
     let mut canon_skipped = 0u64;
     let mut flushed = FlushedCounters::default();
     let mut successors: Vec<Successor<M>> = Vec::new();
-    let mut batch: Vec<(Successor<M>, Box<[u8]>, Fp128)> = Vec::with_capacity(FP_BATCH);
+    let mut batch: Vec<(Successor<M>, Range<usize>, Fp128)> = Vec::with_capacity(FP_BATCH);
+    // The batch's codes, back to back; `batch` holds ranges into it.
+    let mut codes: Vec<u8> = Vec::new();
     let mut idle = 0u32;
     'outer: while !ctx.aborted.load(Ordering::Relaxed) {
         if let Some(t) = timer.as_mut() {
@@ -325,22 +351,23 @@ where
                 t.switch(Phase::Canon);
             }
             batch.clear();
+            codes.clear();
             while batch.len() < FP_BATCH {
                 let Some(succ) = pending_succs.next() else {
                     break;
                 };
-                let code = if track_canon {
+                let begin = codes.len();
+                if track_canon {
                     let start = Instant::now();
-                    let (code, moved) = encoder.encode(&succ.sim);
+                    let moved = encoder.encode_into(&succ.sim, &mut codes);
                     canon_nanos += start.elapsed().as_nanos() as u64;
                     symmetry_hits += u64::from(moved);
-                    code
                 } else {
                     canon_skipped += u64::from(track_skipped);
-                    encoder.encode(&succ.sim).0
-                };
-                let fp = fp128(&code);
-                batch.push((succ, code, fp));
+                    encoder.encode_into(&succ.sim, &mut codes);
+                }
+                let fp = fp128(&codes[begin..]);
+                batch.push((succ, begin..codes.len(), fp));
             }
             if batch.is_empty() {
                 break;
@@ -349,7 +376,7 @@ where
                 t.switch(intern_phase);
             }
             for (succ, code, fp) in batch.drain(..) {
-                let target = match ctx.intern(&mut reader, me, fp, &code) {
+                let target = match ctx.intern(&mut reader, me, fp, &codes[code]) {
                     TableProbe::Known(t) => {
                         out.dedup += 1;
                         t
@@ -431,7 +458,7 @@ where
 }
 
 /// Explores the reachable graph of `initial` with `threads` workers,
-/// materialising the [`StateGraph`] when `collect_graph` is set.
+/// materialising what `collect` asks for.
 ///
 /// With a profiler attached, every worker's timer spans the whole run:
 /// it opens in [`Phase::Setup`] before the table is built (a spawned
@@ -445,8 +472,8 @@ pub(super) fn run_impl<M, P>(
     threads: usize,
     encoder: &StateEncoder<M>,
     profiler: Option<&Profiler>,
-    collect_graph: bool,
-) -> Result<(Option<StateGraph<M>>, ExploreStats), ExploreError>
+    collect: Collect,
+) -> Result<RunOutput<M>, ExploreError>
 where
     M: Machine + Eq + Hash,
     P: Probe,
@@ -466,7 +493,7 @@ where
             })
         })
         .collect();
-    let result = run_timed(initial, config, probe, encoder, collect_graph, &mut timers);
+    let result = run_timed(initial, config, probe, encoder, collect, &mut timers);
     for timer in timers {
         record_timer(profiler, timer);
     }
@@ -480,9 +507,9 @@ fn run_timed<M, P>(
     config: &ExploreConfig,
     probe: &P,
     encoder: &StateEncoder<M>,
-    collect_graph: bool,
+    collect: Collect,
     timers: &mut [Option<PhaseTimer>],
-) -> Result<(Option<StateGraph<M>>, ExploreStats), ExploreError>
+) -> Result<RunOutput<M>, ExploreError>
 where
     M: Machine + Eq + Hash,
     P: Probe,
@@ -501,7 +528,7 @@ where
         spill: config.spill.then(|| {
             SpillStore::new(threads, SPILL_LRU_BUDGET).expect("spill temp files must be creatable")
         }),
-        nodes: collect_graph.then(Segments::new),
+        nodes: (collect != Collect::Stats).then(Segments::new),
         queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
         pending: AtomicUsize::new(0),
         aborted: AtomicBool::new(false),
@@ -510,7 +537,8 @@ where
         por: config.por,
     };
 
-    let (code, _) = encoder.encode(&initial);
+    let mut code = Vec::new();
+    encoder.encode_into(&initial, &mut code);
     let fp = fp128(&code);
     match ctx.intern(&mut ctx.table.reader(), 0, fp, &code) {
         TableProbe::Fresh(id) => debug_assert_eq!(id, 0, "first interned state is state 0"),
@@ -623,14 +651,14 @@ where
                 .map(|(parent, proc, crash)| (parent as usize, proc as usize, crash)),
         );
     }
-    Ok((
-        Some(StateGraph {
-            states,
-            edges,
-            parents,
-        }),
-        stats,
-    ))
+    let graph = StateGraph {
+        states,
+        edges,
+        parents,
+    };
+    // Otherwise the arena drops here, while the timers still charge set-up.
+    let codes = ctx.codes.filter(|_| collect == Collect::GraphAndCodes);
+    Ok((Some((graph, codes)), stats))
 }
 
 /// Emits the counter remainders the workers did not flush themselves:
